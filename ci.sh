@@ -45,6 +45,15 @@ fi
 echo "==> cargo test -q (tier-1 default members)"
 cargo test -q
 
+echo "==> CLI test repetition (20 runs; catches shared-directory races)"
+# Every CLI integration test runs in its own directory; repeating the
+# binary makes a reintroduced race between tests show up here rather
+# than as an occasional tier-1 failure.
+for i in $(seq 1 20); do
+    cargo test -q -p wlc-cli --test cli >/dev/null \
+        || { echo "CLI tests failed on repetition $i"; exit 1; }
+done
+
 echo "==> crash-consistency sweep (every op-log prefix of a supervisor round)"
 # Replays a full supervisor round (bootstrap commit, checkpoints,
 # promote, rollback, quarantine) against the simulated filesystem,

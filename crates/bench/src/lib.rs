@@ -1,5 +1,5 @@
-//! Shared experiment harness for the per-figure/table reproduction
-//! binaries and the criterion benchmarks.
+//! Shared experiment helpers for the per-figure/table reproduction
+//! binaries.
 //!
 //! Every experiment follows the paper's pipeline:
 //!
@@ -12,8 +12,6 @@
 //! (see DESIGN.md for the index); EXPERIMENTS.md records their output.
 
 #![forbid(unsafe_code)]
-
-pub mod harness;
 
 use wlc_data::design::{latin_hypercube, round_to_integers, ParamRange};
 use wlc_data::Dataset;

@@ -1,9 +1,10 @@
 //! End-to-end tests of the `wlc` binary: every subcommand, driven through
-//! a real process, sharing one temp workspace.
+//! a real process, each test in its own temp directory.
 
 use std::io::BufRead;
-use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
+
+use wlc_math::testdir::TestDir;
 
 fn wlc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_wlc"))
@@ -20,10 +21,10 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-fn workspace() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wlc-cli-it-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir
+/// The calling test's own scratch directory, removed when it drops:
+/// tests run concurrently, so none may share (or delete) another's.
+fn workspace(test: &str) -> TestDir {
+    TestDir::new(&format!("cli-{test}"))
 }
 
 #[test]
@@ -102,7 +103,7 @@ fn exit_codes_distinguish_failure_kinds() {
     assert_eq!(wlc(&["train"]).status.code(), Some(2));
 
     // Strict validation failure is exit 3 with a one-line diagnosis.
-    let dir = workspace();
+    let dir = workspace("exit_codes_distinguish_failure_kinds");
     let bad = dir.join("bad.csv");
     let bad_s = bad.to_str().expect("utf8 path");
     std::fs::write(&bad, "a,y*\n1.0,NaN\n").expect("write csv");
@@ -139,7 +140,7 @@ fn exit_codes_distinguish_failure_kinds() {
 
 #[test]
 fn cv_quarantines_forced_divergence() {
-    let dir = workspace();
+    let dir = workspace("cv_quarantines_forced_divergence");
     let data = dir.join("cv-faults.csv");
     let data_s = data.to_str().expect("utf8 path");
     let out = wlc(&[
@@ -195,7 +196,7 @@ fn cv_quarantines_forced_divergence() {
 
 #[test]
 fn collect_with_faults_quarantines_and_stays_deterministic() {
-    let dir = workspace();
+    let dir = workspace("collect_with_faults_quarantines_and_stays_deterministic");
     let a = dir.join("faulty-a.csv");
     let b = dir.join("faulty-b.csv");
     let base = |out_path: &str, jobs: &str| {
@@ -250,7 +251,7 @@ fn collect_with_faults_quarantines_and_stays_deterministic() {
 
 #[test]
 fn train_checkpoint_resume_matches_uninterrupted() {
-    let dir = workspace();
+    let dir = workspace("train_checkpoint_resume_matches_uninterrupted");
     let data = dir.join("resume-data.csv");
     let data_s = data.to_str().expect("utf8 path");
     let out = wlc(&[
@@ -388,7 +389,7 @@ impl Drop for ServerProc {
 
 #[test]
 fn serve_predicts_reloads_and_shuts_down_gracefully() {
-    let dir = workspace();
+    let dir = workspace("serve_predicts_reloads_and_shuts_down_gracefully");
     let data = dir.join("serve-data.csv");
     let model_a = dir.join("serve-model-a.txt");
     let model_b = dir.join("serve-model-b.txt");
@@ -484,7 +485,7 @@ fn serve_predicts_reloads_and_shuts_down_gracefully() {
 
 #[test]
 fn serve_degrades_to_baseline_when_model_is_unusable() {
-    let dir = workspace();
+    let dir = workspace("serve_degrades_to_baseline_when_model_is_unusable");
     let data = dir.join("degraded-data.csv");
     let data_s = data.to_str().expect("utf8 path");
     let out = wlc(&[
@@ -545,7 +546,7 @@ fn serve_usage_and_exit_codes() {
 
 #[test]
 fn full_pipeline_collect_train_predict_cv_surface() {
-    let dir = workspace();
+    let dir = workspace("full_pipeline_collect_train_predict_cv_surface");
     let data = dir.join("data.csv");
     let model = dir.join("model.txt");
     let data_s = data.to_str().expect("utf8 path");
@@ -609,6 +610,4 @@ fn full_pipeline_collect_train_predict_cv_surface() {
     let text = stdout(&out);
     assert!(text.contains("classification:"));
     assert!(text.contains("throughput"));
-
-    std::fs::remove_dir_all(&dir).ok();
 }

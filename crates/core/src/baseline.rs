@@ -669,8 +669,7 @@ mod tests {
 
     #[test]
     fn linear_file_roundtrip_and_load_error() {
-        let dir = std::env::temp_dir().join("wlc-linear-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = wlc_math::testdir::TestDir::new("core-linear_file_roundtrip_and_load_error");
         let path = dir.join("baseline.txt");
         let m = LinearModel::fit(&linear_dataset(), LinearFeatures::Quadratic).unwrap();
         m.save(&path).unwrap();

@@ -5,7 +5,8 @@
 //! The paper's predictor is meant to be queried interactively by tuners;
 //! an *online* deployment therefore needs an answer even when the MLP is
 //! missing, fails validation, or is tripped offline by a circuit
-//! breaker. [`FallbackModel`] encodes that policy: predict with the
+//! breaker. [`FallbackModel`] bundles the two models that policy chooses
+//! between, and the prediction server applies it: predict with the
 //! primary MLP when allowed and healthy, otherwise fall back to the
 //! linear baseline ([`LinearModel`], the §6 comparator) and *say so* via
 //! [`Served::Baseline`], so callers can tag responses as degraded.
@@ -38,6 +39,7 @@ impl Served {
 /// use wlc_data::{Dataset, Sample};
 /// use wlc_model::baseline::{LinearFeatures, LinearModel};
 /// use wlc_model::fallback::{FallbackModel, Served};
+/// use wlc_model::PerformanceModel;
 ///
 /// let mut ds = Dataset::new(vec!["x".into()], vec!["y".into()]).unwrap();
 /// for i in 0..5 {
@@ -47,9 +49,11 @@ impl Served {
 /// let baseline = LinearModel::fit(&ds, LinearFeatures::FirstOrder)?;
 /// let bundle = FallbackModel::new(None, Some(baseline), ds.input_names().to_vec(),
 ///                                 ds.output_names().to_vec())?;
-/// let (y, served) = bundle.predict_with(&[10.0], true)?;
-/// assert_eq!(served, Served::Baseline); // no primary — degraded by construction
+/// // No primary: every answer comes from the baseline, tagged degraded.
+/// assert!(!bundle.has_primary());
+/// let y = bundle.baseline().unwrap().predict(&[10.0])?;
 /// assert!((y[0] - 21.0).abs() < 1e-6);
+/// assert!(Served::Baseline.is_degraded());
 /// # Ok::<(), wlc_model::ModelError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -168,76 +172,6 @@ impl FallbackModel {
             .or_else(|| self.baseline.as_ref().map(PerformanceModel::outputs))
             .unwrap_or(0)
     }
-
-    /// Predicts one configuration, reporting which model answered.
-    ///
-    /// With `use_primary` set (the circuit is closed) the primary is
-    /// tried first; if it is absent, or its prediction fails with
-    /// anything other than a caller-input error, the baseline takes over
-    /// and the response is tagged [`Served::Baseline`]. With
-    /// `use_primary` unset (circuit open) the baseline answers directly.
-    ///
-    /// Caller-input errors — wrong width, non-finite features — are
-    /// *not* degraded around: the same bad request would fail on the
-    /// baseline too, and the caller needs the 4xx-style diagnosis.
-    ///
-    /// # Errors
-    ///
-    /// - [`ModelError::WidthMismatch`] / [`ModelError::NonFiniteInput`]
-    ///   for bad requests.
-    /// - The primary's error when no baseline exists to absorb it.
-    pub fn predict_with(
-        &self,
-        x: &[f64],
-        use_primary: bool,
-    ) -> Result<(Vec<f64>, Served), ModelError> {
-        if x.len() != self.inputs() {
-            return Err(ModelError::WidthMismatch {
-                expected: self.inputs(),
-                actual: x.len(),
-                what: "configuration",
-            });
-        }
-        if let Some(index) = x.iter().position(|v| !v.is_finite()) {
-            return Err(ModelError::NonFiniteInput {
-                index,
-                stage: "raw",
-            });
-        }
-        if use_primary {
-            if let Some(primary) = &self.primary {
-                match primary.predict(x) {
-                    Ok(y) if y.iter().all(|v| v.is_finite()) => {
-                        return Ok((y, Served::Primary));
-                    }
-                    // Caller-input problems surface as-is.
-                    Err(e @ ModelError::NonFiniteInput { .. }) => return Err(e),
-                    // Model-side failure (or non-finite output): degrade
-                    // if we can, otherwise report the model failure.
-                    Ok(_) | Err(_) if self.baseline.is_some() => {}
-                    Ok(_) => {
-                        return Err(ModelError::InvalidParameter {
-                            name: "primary",
-                            reason: "model produced non-finite predictions",
-                        })
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        match &self.baseline {
-            Some(baseline) => Ok((baseline.predict(x)?, Served::Baseline)),
-            None => match &self.primary {
-                // use_primary was false but there is nothing else: answer
-                // with the primary rather than failing a healthy request.
-                Some(primary) => Ok((primary.predict(x)?, Served::Primary)),
-                None => Err(ModelError::InvalidParameter {
-                    name: "fallback",
-                    reason: "no model available",
-                }),
-            },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -299,59 +233,13 @@ mod tests {
     }
 
     #[test]
-    fn healthy_primary_answers_and_is_not_degraded() {
+    fn names_and_widths_come_from_the_primary() {
         let bundle = FallbackModel::new(Some(primary()), Some(baseline()), vec![], vec![]).unwrap();
-        let (y, served) = bundle.predict_with(&[2.0, 3.0], true).unwrap();
-        assert_eq!(served, Served::Primary);
-        assert!(!served.is_degraded());
-        assert_eq!(y.len(), 2);
         assert_eq!(bundle.input_names(), &["a", "b"]);
         assert_eq!(bundle.output_names(), &["y0", "y1"]);
-    }
-
-    #[test]
-    fn open_circuit_serves_baseline_verbatim() {
-        let base = baseline();
-        let expected = base.predict(&[2.0, 3.0]).unwrap();
-        let bundle = FallbackModel::new(Some(primary()), Some(base), vec![], vec![]).unwrap();
-        let (y, served) = bundle.predict_with(&[2.0, 3.0], false).unwrap();
-        assert_eq!(served, Served::Baseline);
-        assert!(served.is_degraded());
-        assert_eq!(y, expected);
-    }
-
-    #[test]
-    fn missing_primary_degrades_by_construction() {
-        let bundle = FallbackModel::new(
-            None,
-            Some(baseline()),
-            vec!["a".into(), "b".into()],
-            vec!["y0".into(), "y1".into()],
-        )
-        .unwrap();
-        assert!(!bundle.has_primary());
-        let (_, served) = bundle.predict_with(&[1.0, 1.0], true).unwrap();
-        assert_eq!(served, Served::Baseline);
-    }
-
-    #[test]
-    fn open_circuit_without_baseline_still_answers_from_primary() {
-        let bundle = FallbackModel::new(Some(primary()), None, vec![], vec![]).unwrap();
-        let (_, served) = bundle.predict_with(&[2.0, 2.0], false).unwrap();
-        assert_eq!(served, Served::Primary);
-    }
-
-    #[test]
-    fn caller_input_errors_are_not_degraded_around() {
-        let bundle = FallbackModel::new(Some(primary()), Some(baseline()), vec![], vec![]).unwrap();
-        assert!(matches!(
-            bundle.predict_with(&[1.0], true),
-            Err(ModelError::WidthMismatch { .. })
-        ));
-        assert!(matches!(
-            bundle.predict_with(&[f64::NAN, 1.0], true),
-            Err(ModelError::NonFiniteInput { .. })
-        ));
+        assert_eq!((bundle.inputs(), bundle.outputs()), (2, 2));
+        assert!(!Served::Primary.is_degraded());
+        assert!(Served::Baseline.is_degraded());
     }
 
     #[test]
@@ -365,7 +253,7 @@ mod tests {
         .unwrap();
         let upgraded = bundle.with_primary(primary()).unwrap();
         assert!(upgraded.has_primary() && upgraded.has_baseline());
-        let (_, served) = upgraded.predict_with(&[2.0, 2.0], true).unwrap();
-        assert_eq!(served, Served::Primary);
+        assert_eq!(upgraded.primary(), Some(&primary()));
+        assert_eq!(upgraded.baseline().map(|b| b.inputs()), Some(2));
     }
 }

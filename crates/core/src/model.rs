@@ -153,22 +153,7 @@ impl WorkloadModel {
         xs: &Matrix,
         scratch: &'s mut PredictScratch,
     ) -> Result<&'s Matrix, ModelError> {
-        if xs.cols() != self.inputs() {
-            return Err(ModelError::WidthMismatch {
-                expected: self.inputs(),
-                actual: xs.cols(),
-                what: "configuration",
-            });
-        }
-        let PredictScratch { scaled, out, ws } = scratch;
-        self.scale_inputs(xs, scaled)?;
-        let workspace = match ws {
-            Some(w) if w.matches(&self.mlp) => w,
-            _ => ws.insert(Workspace::for_mlp(&self.mlp)),
-        };
-        let acts = self.mlp.forward_batch_with(scaled, workspace)?;
-        Self::unscale_outputs(&self.output_scaler, acts, out)?;
-        Ok(out)
+        self.predict_rows(xs, scratch, None)
     }
 
     /// [`WorkloadModel::predict_batch_with`] with the forward pass's
@@ -186,6 +171,18 @@ impl WorkloadModel {
         scratch: &'s mut PredictScratch,
         engine: &mut BandEngine,
     ) -> Result<&'s Matrix, ModelError> {
+        self.predict_rows(xs, scratch, Some(engine))
+    }
+
+    /// The one batched prediction body: standardize into the scratch,
+    /// run the forward pass (in-line, or banded over `engine`), and
+    /// de-standardize into the scratch's output matrix.
+    fn predict_rows<'s>(
+        &self,
+        xs: &Matrix,
+        scratch: &'s mut PredictScratch,
+        engine: Option<&mut BandEngine>,
+    ) -> Result<&'s Matrix, ModelError> {
         if xs.cols() != self.inputs() {
             return Err(ModelError::WidthMismatch {
                 expected: self.inputs(),
@@ -199,7 +196,10 @@ impl WorkloadModel {
             Some(w) if w.matches(&self.mlp) => w,
             _ => ws.insert(Workspace::for_mlp(&self.mlp)),
         };
-        let acts = engine.forward_batch(&self.mlp, scaled, workspace)?;
+        let acts = match engine {
+            Some(engine) => engine.forward_batch(&self.mlp, scaled, workspace)?,
+            None => self.mlp.forward_batch_with(scaled, workspace)?,
+        };
         Self::unscale_outputs(&self.output_scaler, acts, out)?;
         Ok(out)
     }
@@ -252,7 +252,9 @@ impl WorkloadModel {
     }
 
     /// Evaluates prediction error on a labelled dataset, producing the
-    /// per-indicator report used by the Table 2 reproduction.
+    /// per-indicator report used by the Table 2 reproduction. Predicts
+    /// through the batched path ([`WorkloadModel::predict_batch_with`]),
+    /// bitwise the per-row predictions.
     ///
     /// # Errors
     ///
@@ -260,11 +262,12 @@ impl WorkloadModel {
     /// propagates metric errors.
     pub fn evaluate(&self, dataset: &Dataset) -> Result<ErrorReport, ModelError> {
         let (xs, ys) = dataset.to_matrices();
-        let predicted = self.predict_batch(&xs)?;
+        let mut scratch = PredictScratch::new();
+        let predicted = self.predict_batch_with(&xs, &mut scratch)?;
         Ok(ErrorReport::compare(
             dataset.output_names(),
             &ys,
-            &predicted,
+            predicted,
         )?)
     }
 
@@ -984,13 +987,11 @@ mod tests {
     fn file_roundtrip() {
         let ds = synthetic_dataset();
         let outcome = quick_builder().max_epochs(20).train(&ds).unwrap();
-        let dir = std::env::temp_dir().join("wlc-model-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = wlc_math::testdir::TestDir::new("core-file_roundtrip");
         let path = dir.join("model.txt");
         outcome.model.save(&path).unwrap();
         let back = WorkloadModel::load(&path).unwrap();
         assert_eq!(back, outcome.model);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1095,13 +1096,11 @@ mod tests {
             "{msg}"
         );
         // Parse failures are wrapped the same way.
-        let dir = std::env::temp_dir().join("wlc-model-load-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = wlc_math::testdir::TestDir::new("core-load_error_names_path");
         let path = dir.join("garbage.txt");
         std::fs::write(&path, "not a model\n").unwrap();
         let err = WorkloadModel::load(&path).unwrap_err();
         assert!(err.to_string().contains("garbage.txt"), "{err}");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1130,8 +1129,7 @@ mod tests {
     #[test]
     fn checkpointed_training_resumes_identically() {
         let ds = synthetic_dataset();
-        let dir = std::env::temp_dir().join("wlc-model-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = wlc_math::testdir::TestDir::new("core-checkpointed_training_resumes_identically");
         let path = dir.join("train.ckpt");
         let base = quick_builder().no_termination_threshold().batch_size(16);
 
@@ -1148,7 +1146,6 @@ mod tests {
         assert_eq!(resumed.model, full.model);
         assert_eq!(resumed.report.loss_history, full.report.loss_history);
         assert_eq!(resumed.report.resumed_from_epoch, Some(40));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

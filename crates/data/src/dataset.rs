@@ -538,13 +538,11 @@ mod tests {
     #[test]
     fn csv_file_roundtrip() {
         let ds = tiny();
-        let dir = std::env::temp_dir().join("wlc-data-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = wlc_math::testdir::TestDir::new("data-csv_file_roundtrip");
         let path = dir.join("ds.csv");
         ds.save_csv(&path).unwrap();
         let back = Dataset::load_csv(&path).unwrap();
         assert_eq!(back, ds);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -333,14 +333,12 @@ mod tests {
 
     #[test]
     fn file_loader_validates() {
-        let dir = std::env::temp_dir().join("wlc-data-validate-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = wlc_math::testdir::TestDir::new("data-file_loader_validates");
         let path = dir.join("bad.csv");
         std::fs::write(&path, "a,y*\n1.0,NaN\n").unwrap();
         assert!(Dataset::load_csv_validated(&path, ValidateMode::Strict).is_err());
         let (ds, report) = Dataset::load_csv_validated(&path, ValidateMode::Repair).unwrap();
         assert!(ds.is_empty());
         assert_eq!(report.issues.len(), 1);
-        std::fs::remove_file(&path).unwrap();
     }
 }

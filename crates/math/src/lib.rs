@@ -18,6 +18,8 @@
 //!   percentile response times.
 //! - [`propcheck`] — a tiny seeded property-testing harness, so the test
 //!   suites need no external dependencies.
+//! - [`testdir`] — per-test scratch directories removed on drop, so
+//!   concurrent tests never share files.
 //!
 //! # Examples
 //!
@@ -47,6 +49,7 @@ pub mod propcheck;
 pub mod quantile;
 pub mod rng;
 pub mod stats;
+pub mod testdir;
 
 pub use error::MathError;
 pub use matrix::Matrix;

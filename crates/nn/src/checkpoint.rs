@@ -358,8 +358,7 @@ mod tests {
     #[test]
     fn file_roundtrip_and_io_errors() {
         let ck = sample();
-        let dir = std::env::temp_dir().join("wlc-nn-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = wlc_math::testdir::TestDir::new("nn-file_roundtrip_and_io_errors");
         let path = dir.join("t.ckpt");
         ck.save(&path).unwrap();
         assert_eq!(Checkpoint::load(&path).unwrap(), ck);

@@ -1,13 +1,14 @@
 //! Finite-difference verification of back-propagation gradients.
 //!
 //! Back-propagation bugs are silent — training still "works", just worse.
-//! This module compares analytic gradients from [`Mlp::batch_gradient`]
-//! against central finite differences. It is used heavily by this crate's
+//! This module compares analytic gradients from the reference oracle
+//! [`Mlp::batch_gradient_scalar_with`] against central finite
+//! differences of [`Mlp::batch_loss_with`]. It is used heavily by this crate's
 //! test suite and is exported for downstream sanity checks.
 
 use wlc_math::Matrix;
 
-use crate::{Loss, Mlp, NnError};
+use crate::{Loss, Mlp, NnError, Workspace};
 
 /// Result of a gradient check.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,7 +61,9 @@ pub fn check(
     loss: Loss,
     step: f64,
 ) -> Result<GradCheckReport, NnError> {
-    let (_, analytic) = mlp.batch_gradient(xs, ys, loss)?;
+    let mut ws = Workspace::for_mlp(mlp);
+    mlp.batch_gradient_scalar_with(xs, ys, loss, &mut ws)?;
+    let analytic = ws.grad().to_vec();
     let params = mlp.params_flat();
     let mut probe = mlp.clone();
 
@@ -71,12 +74,12 @@ pub fn check(
         let mut plus = params.clone();
         plus[i] += step;
         probe.set_params_flat(&plus)?;
-        let loss_plus = crate::train::evaluate_loss(&probe, xs, ys, loss)?;
+        let loss_plus = probe.batch_loss_with(xs, ys, loss, &mut ws)?;
 
         let mut minus = params.clone();
         minus[i] -= step;
         probe.set_params_flat(&minus)?;
-        let loss_minus = crate::train::evaluate_loss(&probe, xs, ys, loss)?;
+        let loss_minus = probe.batch_loss_with(xs, ys, loss, &mut ws)?;
 
         let numeric = (loss_plus - loss_minus) / (2.0 * step);
         let abs_diff = (analytic[i] - numeric).abs();

@@ -19,8 +19,9 @@ use crate::{Activation, Initializer, NnError};
 ///
 /// let mut rng = Xoshiro256::seed_from(3);
 /// let layer = DenseLayer::new(2, 4, Activation::tanh(), Default::default(), &mut rng)?;
-/// let out = layer.forward(&[0.5, -0.5])?;
-/// assert_eq!(out.len(), 4);
+/// let mut out = [0.0; 4];
+/// layer.forward_into(&[0.5, -0.5], &mut out)?;
+/// assert!(out.iter().all(|a| a.abs() < 1.0)); // tanh-squashed
 /// # Ok::<(), wlc_nn::NnError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -126,23 +127,12 @@ impl DenseLayer {
         self.weights.rows() * self.weights.cols() + self.biases.len()
     }
 
-    /// Computes the pre-activation `z = W·x + b`.
+    /// Writes the pre-activation `z = W·x + b` into `out` without
+    /// allocating.
     ///
     /// Each dot product uses the committed lane-accumulation order
     /// ([`wlc_math::gemm::dot_lanes`]), so per-sample results are
     /// bit-identical to the batched GEMM path for the same weights.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `input.len() != self.inputs()`.
-    pub fn pre_activation(&self, input: &[f64]) -> Result<Vec<f64>, NnError> {
-        let mut z = vec![0.0; self.outputs()];
-        self.pre_activation_into(input, &mut z)?;
-        Ok(z)
-    }
-
-    /// Writes the pre-activation `z = W·x + b` into `out` without
-    /// allocating; bit-identical to [`DenseLayer::pre_activation`].
     ///
     /// # Errors
     ///
@@ -170,19 +160,8 @@ impl DenseLayer {
         Ok(())
     }
 
-    /// Full forward pass `f(W·x + b)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `input.len() != self.inputs()`.
-    pub fn forward(&self, input: &[f64]) -> Result<Vec<f64>, NnError> {
-        let mut z = self.pre_activation(input)?;
-        self.activation.apply_slice(&mut z);
-        Ok(z)
-    }
-
-    /// Writes `f(W·x + b)` into `out` without allocating; bit-identical
-    /// to [`DenseLayer::forward`].
+    /// Full forward pass: writes `f(W·x + b)` into `out` without
+    /// allocating.
     ///
     /// # Errors
     ///
@@ -241,21 +220,27 @@ mod tests {
         ));
     }
 
+    /// `f(W·x + b)` through the allocation-free entry point.
+    fn forward(layer: &DenseLayer, input: &[f64]) -> Result<Vec<f64>, NnError> {
+        let mut out = vec![f64::NAN; layer.outputs()];
+        layer.forward_into(input, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn forward_known_values() {
         let weights = Matrix::from_rows(&[&[1.0, 2.0], &[0.5, -1.0]]).unwrap();
         let layer =
             DenseLayer::from_parts(weights, vec![1.0, 0.0], Activation::identity()).unwrap();
-        let out = layer.forward(&[1.0, 1.0]).unwrap();
-        assert_eq!(out, vec![4.0, -0.5]);
+        assert_eq!(forward(&layer, &[1.0, 1.0]).unwrap(), vec![4.0, -0.5]);
     }
 
     #[test]
     fn forward_applies_activation() {
         let weights = Matrix::from_rows(&[&[1.0]]).unwrap();
         let layer = DenseLayer::from_parts(weights, vec![0.0], Activation::Relu).unwrap();
-        assert_eq!(layer.forward(&[-3.0]).unwrap(), vec![0.0]);
-        assert_eq!(layer.forward(&[3.0]).unwrap(), vec![3.0]);
+        assert_eq!(forward(&layer, &[-3.0]).unwrap(), vec![0.0]);
+        assert_eq!(forward(&layer, &[3.0]).unwrap(), vec![3.0]);
     }
 
     #[test]
@@ -264,9 +249,15 @@ mod tests {
         let layer =
             DenseLayer::new(3, 2, Activation::tanh(), Initializer::default(), &mut r).unwrap();
         assert!(matches!(
-            layer.forward(&[1.0, 2.0]),
+            forward(&layer, &[1.0, 2.0]),
             Err(NnError::ShapeMismatch { .. })
         ));
+        // A wrong-length output buffer is rejected, not panicked on.
+        let mut short = [0.0; 1];
+        assert!(layer.forward_into(&[1.0, 2.0, 3.0], &mut short).is_err());
+        assert!(layer
+            .pre_activation_into(&[1.0, 2.0, 3.0], &mut short)
+            .is_err());
     }
 
     #[test]
@@ -307,31 +298,13 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_are_bitwise_allocating_variants() {
-        let mut r = rng();
-        let layer =
-            DenseLayer::new(5, 3, Activation::tanh(), Initializer::default(), &mut r).unwrap();
-        let input = [0.3, -0.8, 1.5, 0.0, -0.1];
-        let mut z = [f64::NAN; 3];
-        layer.pre_activation_into(&input, &mut z).unwrap();
-        assert_eq!(
-            z.as_slice(),
-            layer.pre_activation(&input).unwrap().as_slice()
-        );
-        let mut a = [f64::NAN; 3];
-        layer.forward_into(&input, &mut a).unwrap();
-        assert_eq!(a.as_slice(), layer.forward(&input).unwrap().as_slice());
-        // Wrong widths are rejected, not panicked on.
-        assert!(layer.pre_activation_into(&input[..3], &mut z).is_err());
-        assert!(layer.forward_into(&input, &mut a[..2]).is_err());
-    }
-
-    #[test]
     fn pre_activation_excludes_activation() {
         let weights = Matrix::from_rows(&[&[2.0]]).unwrap();
         let layer = DenseLayer::from_parts(weights, vec![1.0], Activation::Relu).unwrap();
-        assert_eq!(layer.pre_activation(&[-2.0]).unwrap(), vec![-3.0]);
-        assert_eq!(layer.forward(&[-2.0]).unwrap(), vec![0.0]);
+        let mut z = [f64::NAN];
+        layer.pre_activation_into(&[-2.0], &mut z).unwrap();
+        assert_eq!(z, [-3.0]);
+        assert_eq!(forward(&layer, &[-2.0]).unwrap(), vec![0.0]);
     }
 
     #[test]

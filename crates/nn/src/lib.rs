@@ -6,7 +6,8 @@
 //! - [`Activation`] — the slope-parameterized logistic function of the
 //!   paper's Figure 2 plus the usual alternatives.
 //! - [`Mlp`] / [`MlpBuilder`] — dense feed-forward networks with
-//!   back-propagation ([`Mlp::batch_gradient`]).
+//!   back-propagation ([`Mlp::batch_gradient_with`]); [`Mlp::forward`]
+//!   is the single-row path.
 //! - [`Loss`] — mean-squared error and friends.
 //! - [`optimizer`] — plain gradient descent (the paper's method) plus
 //!   momentum, RMSProp and Adam.
@@ -17,10 +18,12 @@
 //!   paper cites (ref \[23\]) when discussing the extrapolation limitation.
 //! - [`RbfNetwork`] — the radial-basis-function family §2.1 names as the
 //!   other common function approximator (k-means centers + ridge output).
-//! - [`gradcheck`] — finite-difference gradient verification.
+//! - [`gradcheck`] — finite-difference gradient verification against
+//!   the per-sample reference [`Mlp::batch_gradient_scalar_with`].
 //! - [`Workspace`] — reusable scratch buffers making batched training
 //!   and inference allocation-free ([`Mlp::batch_gradient_with`],
-//!   [`Mlp::forward_batch_with`]), bit-identical to the per-sample path.
+//!   [`Mlp::forward_batch_with`], [`Mlp::batch_loss_with`]),
+//!   bit-identical to the per-sample path.
 //! - [`BandEngine`] — the batched entry points with their row bands
 //!   fanned out over a persistent `wlc_exec::BandPool` worker team,
 //!   bit-identical for any worker count.

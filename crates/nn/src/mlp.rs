@@ -1,7 +1,7 @@
 use wlc_math::rng::{Seed, Xoshiro256};
 use wlc_math::Matrix;
 
-use crate::{Activation, DenseLayer, Initializer, Loss, NnError, Workspace};
+use crate::{Activation, DenseLayer, Initializer, NnError};
 
 /// A multilayer perceptron: a stack of [`DenseLayer`]s.
 ///
@@ -89,85 +89,20 @@ impl Mlp {
     ///
     /// Returns [`NnError::ShapeMismatch`] if `input.len() != self.inputs()`.
     pub fn forward(&self, input: &[f64]) -> Result<Vec<f64>, NnError> {
-        let max_w = self.max_layer_width();
-        let mut ping = vec![0.0; max_w];
-        let mut pong = vec![0.0; max_w];
-        let (in_ping, width) = self.forward_ping_pong(input, &mut ping, &mut pong)?;
-        let mut out = if in_ping { ping } else { pong };
-        out.truncate(width);
-        Ok(out)
-    }
-
-    /// Widest layer output (sizing for ping-pong buffers).
-    pub(crate) fn max_layer_width(&self) -> usize {
-        self.layers
-            .iter()
-            .map(DenseLayer::outputs)
-            .max()
-            .expect("non-empty network")
-    }
-
-    /// Runs the layers through two ping-pong buffers (each at least
-    /// [`Mlp::max_layer_width`] long), allocating nothing. Returns
-    /// `(true, width)` if the final activation sits in `ping[..width]`,
-    /// `(false, width)` if it sits in `pong[..width]`.
-    pub(crate) fn forward_ping_pong(
-        &self,
-        input: &[f64],
-        ping: &mut [f64],
-        pong: &mut [f64],
-    ) -> Result<(bool, usize), NnError> {
+        // Two buffers of the widest layer, swapped after every layer.
+        let max_width = self.layers.iter().map(DenseLayer::outputs).max();
+        let mut cur = vec![0.0; max_width.unwrap_or(0)];
+        let mut next = cur.clone();
         let first = &self.layers[0];
-        first.forward_into(input, &mut ping[..first.outputs()])?;
+        first.forward_into(input, &mut cur[..first.outputs()])?;
         let mut width = first.outputs();
-        let mut in_ping = true;
         for layer in &self.layers[1..] {
-            let outs = layer.outputs();
-            if in_ping {
-                layer.forward_into(&ping[..width], &mut pong[..outs])?;
-            } else {
-                layer.forward_into(&pong[..width], &mut ping[..outs])?;
-            }
-            width = outs;
-            in_ping = !in_ping;
+            layer.forward_into(&cur[..width], &mut next[..layer.outputs()])?;
+            std::mem::swap(&mut cur, &mut next);
+            width = layer.outputs();
         }
-        Ok((in_ping, width))
-    }
-
-    /// Runs the forward pass for every row of `inputs`, returning one
-    /// prediction row per input row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `inputs.cols() != self.inputs()`.
-    pub fn forward_batch(&self, inputs: &Matrix) -> Result<Matrix, NnError> {
-        if inputs.rows() == 0 {
-            return Ok(Matrix::zeros(0, self.outputs()));
-        }
-        let mut ws = Workspace::for_mlp(self);
-        Ok(self.forward_batch_with(inputs, &mut ws)?.clone())
-    }
-
-    /// Average loss and flat parameter gradient over a batch, computed by
-    /// back-propagation.
-    ///
-    /// The gradient layout matches [`Mlp::params_flat`]: for each layer,
-    /// row-major weights followed by biases.
-    ///
-    /// # Errors
-    ///
-    /// - [`NnError::EmptyTrainingSet`] if `inputs` has no rows.
-    /// - [`NnError::ShapeMismatch`] if widths do not match the topology or
-    ///   `targets.rows() != inputs.rows()`.
-    pub fn batch_gradient(
-        &self,
-        inputs: &Matrix,
-        targets: &Matrix,
-        loss: Loss,
-    ) -> Result<(f64, Vec<f64>), NnError> {
-        let mut ws = Workspace::for_mlp(self);
-        let loss_value = self.batch_gradient_scalar_with(inputs, targets, loss, &mut ws)?;
-        Ok((loss_value, ws.take_grad()))
+        cur.truncate(width);
+        Ok(cur)
     }
 
     /// Shape validation shared by the gradient entry points; matches the
@@ -427,6 +362,7 @@ impl MlpBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Loss, Workspace};
 
     fn tiny_mlp() -> Mlp {
         MlpBuilder::new(2)
@@ -510,17 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_matches_forward() {
-        let mlp = tiny_mlp();
-        let xs = Matrix::from_rows(&[&[0.1, 0.2], &[-0.5, 0.9]]).unwrap();
-        let batch = mlp.forward_batch(&xs).unwrap();
-        for r in 0..2 {
-            let single = mlp.forward(xs.row(r)).unwrap();
-            assert_eq!(batch.row(r), single.as_slice());
-        }
-    }
-
-    #[test]
     fn identity_network_computes_affine() {
         // Single identity layer == plain affine map.
         let w = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 3.0]]).unwrap();
@@ -558,18 +483,19 @@ mod tests {
     #[test]
     fn batch_gradient_validates_shapes() {
         let mlp = tiny_mlp();
+        let mut ws = Workspace::for_mlp(&mlp);
         let xs = Matrix::zeros(2, 2);
         let bad_rows = Matrix::zeros(3, 2);
         let bad_cols = Matrix::zeros(2, 5);
         let empty = Matrix::zeros(0, 2);
         assert!(mlp
-            .batch_gradient(&xs, &bad_rows, Loss::MeanSquared)
+            .batch_gradient_with(&xs, &bad_rows, Loss::MeanSquared, &mut ws)
             .is_err());
         assert!(mlp
-            .batch_gradient(&xs, &bad_cols, Loss::MeanSquared)
+            .batch_gradient_with(&xs, &bad_cols, Loss::MeanSquared, &mut ws)
             .is_err());
         assert!(matches!(
-            mlp.batch_gradient(&empty, &empty, Loss::MeanSquared),
+            mlp.batch_gradient_with(&empty, &empty, Loss::MeanSquared, &mut ws),
             Err(NnError::EmptyTrainingSet)
         ));
     }
@@ -577,15 +503,21 @@ mod tests {
     #[test]
     fn gradient_descent_reduces_loss() {
         let mut mlp = tiny_mlp();
+        let mut ws = Workspace::for_mlp(&mlp);
         let xs = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]).unwrap();
         let ys = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0], &[1.0, 0.0], &[0.0, 1.0]]).unwrap();
-        let (initial, _) = mlp.batch_gradient(&xs, &ys, Loss::MeanSquared).unwrap();
+        let initial = mlp
+            .batch_loss_with(&xs, &ys, Loss::MeanSquared, &mut ws)
+            .unwrap();
         for _ in 0..200 {
-            let (_, grad) = mlp.batch_gradient(&xs, &ys, Loss::MeanSquared).unwrap();
-            let update: Vec<f64> = grad.iter().map(|g| -0.5 * g).collect();
+            mlp.batch_gradient_with(&xs, &ys, Loss::MeanSquared, &mut ws)
+                .unwrap();
+            let update: Vec<f64> = ws.grad().iter().map(|g| -0.5 * g).collect();
             mlp.apply_update(&update).unwrap();
         }
-        let (after, _) = mlp.batch_gradient(&xs, &ys, Loss::MeanSquared).unwrap();
+        let after = mlp
+            .batch_loss_with(&xs, &ys, Loss::MeanSquared, &mut ws)
+            .unwrap();
         assert!(
             after < initial * 0.5,
             "loss did not drop: {initial} -> {after}"

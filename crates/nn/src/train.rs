@@ -774,29 +774,6 @@ impl Trainer {
     }
 }
 
-/// Mean loss of `mlp` over a dataset.
-///
-/// # Errors
-///
-/// Returns [`NnError::ShapeMismatch`] if widths do not match and
-/// [`NnError::EmptyTrainingSet`] for an empty dataset.
-pub(crate) fn evaluate_loss(
-    mlp: &Mlp,
-    xs: &Matrix,
-    ys: &Matrix,
-    loss: Loss,
-) -> Result<f64, NnError> {
-    if xs.rows() == 0 {
-        return Err(NnError::EmptyTrainingSet);
-    }
-    let mut total = 0.0;
-    for r in 0..xs.rows() {
-        let pred = mlp.forward(xs.row(r))?;
-        total += loss.value(&pred, ys.row(r))?;
-    }
-    Ok(total / xs.rows() as f64)
-}
-
 /// Copies the selected sample rows into reusable minibatch matrices —
 /// after the first (largest) chunk this never allocates.
 fn gather_into(xs: &Matrix, ys: &Matrix, idx: &[usize], bx: &mut Matrix, by: &mut Matrix) {
@@ -960,10 +937,10 @@ mod tests {
     #[test]
     fn batched_training_is_bitwise_scalar_training() {
         // The Trainer now runs the GEMM-batched workspace path. Replicate
-        // its epoch loop with the legacy per-sample scalar gradient
-        // (`Mlp::batch_gradient`) and allocating per-row evaluation
-        // (`evaluate_loss`), and require byte-identical parameters and
-        // loss history.
+        // its epoch loop with the per-sample reference gradient
+        // (`Mlp::batch_gradient_scalar_with`) and per-row evaluation
+        // through `Mlp::forward`, and require byte-identical parameters
+        // and loss history.
         let (xs, ys) = xor_data();
         let n = xs.rows();
         for (opt, batch, seed, lr, epochs) in [
@@ -981,6 +958,7 @@ mod tests {
             let report = Trainer::new(config).fit(&mut trained, &xs, &ys).unwrap();
 
             let mut manual = xor_mlp(9);
+            let mut ws = Workspace::for_mlp(&manual);
             let mut rng = Xoshiro256::seed_from(seed);
             let mut optimizer = opt.into_optimizer();
             let mut params = manual.params_flat();
@@ -996,11 +974,19 @@ mod tests {
                         bx.row_mut(out_r).copy_from_slice(xs.row(r));
                         by.row_mut(out_r).copy_from_slice(ys.row(r));
                     }
-                    let (_, grads) = manual.batch_gradient(&bx, &by, Loss::MeanSquared).unwrap();
-                    optimizer.step(&mut params, &grads, lr).unwrap();
+                    manual
+                        .batch_gradient_scalar_with(&bx, &by, Loss::MeanSquared, &mut ws)
+                        .unwrap();
+                    optimizer.step(&mut params, ws.grad(), lr).unwrap();
                 }
                 manual.set_params_flat(&params).unwrap();
-                losses.push(evaluate_loss(&manual, &xs, &ys, Loss::MeanSquared).unwrap());
+                let total: f64 = (0..n)
+                    .map(|r| {
+                        let pred = manual.forward(xs.row(r)).unwrap();
+                        Loss::MeanSquared.value(&pred, ys.row(r)).unwrap()
+                    })
+                    .sum();
+                losses.push(total / n as f64);
             }
 
             let trained_bits: Vec<u64> =
@@ -1081,8 +1067,7 @@ mod tests {
         let (xs, ys) = xor_data();
         let val_x = xs.clone();
         let val_y = ys.clone();
-        let dir = std::env::temp_dir().join("wlc-nn-resume-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = wlc_math::testdir::TestDir::new("nn-checkpoint_resume_is_bit_identical");
         let path = dir.join("train.ckpt");
 
         let base = TrainConfig::new()
@@ -1120,14 +1105,12 @@ mod tests {
         assert_eq!(resumed.params_flat(), full.params_flat());
         assert_eq!(resumed_report.loss_history, full_report.loss_history);
         assert_eq!(resumed_report.val_history, full_report.val_history);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn resume_rejects_mismatched_network() {
         let (xs, ys) = xor_data();
-        let dir = std::env::temp_dir().join("wlc-nn-resume-mismatch");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = wlc_math::testdir::TestDir::new("nn-resume_rejects_mismatched_network");
         let path = dir.join("train.ckpt");
         let mut mlp = xor_mlp(13);
         Trainer::new(
@@ -1150,7 +1133,6 @@ mod tests {
             Trainer::new(TrainConfig::new()).resume_from(&mut other, &xs, &ys, &ck),
             Err(NnError::ShapeMismatch { .. })
         ));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1273,11 +1255,14 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_loss_perfect_model_is_zero() {
+    fn batch_loss_perfect_model_is_zero() {
         let (xs, _) = xor_data();
         let mlp = xor_mlp(12);
-        let preds = mlp.forward_batch(&xs).unwrap();
-        let loss = evaluate_loss(&mlp, &xs, &preds, Loss::MeanSquared).unwrap();
+        let mut ws = Workspace::for_mlp(&mlp);
+        let preds = mlp.forward_batch_with(&xs, &mut ws).unwrap().clone();
+        let loss = mlp
+            .batch_loss_with(&xs, &preds, Loss::MeanSquared, &mut ws)
+            .unwrap();
         assert!(loss.abs() < 1e-12);
     }
 

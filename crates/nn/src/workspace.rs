@@ -2,9 +2,8 @@
 //!
 //! A [`Workspace`] owns every intermediate buffer the forward and
 //! backward passes need — batched activation/pre-activation/delta
-//! matrices, per-layer gradient matrices, a flat gradient vector,
-//! single-sample ping-pong buffers and the scalar reference path's
-//! trace. Constructed once per network topology, it lets steady-state
+//! matrices, per-layer gradient matrices, a flat gradient vector and
+//! the scalar reference path's trace. Constructed once per network topology, it lets steady-state
 //! training run with **zero heap allocations per epoch**: buffers are
 //! grown on first use and thereafter only resized within their existing
 //! capacity.
@@ -15,8 +14,8 @@
 //!   forward/backward expressed as GEMMs ([`wlc_math::gemm`]) over the
 //!   batch matrix.
 //! - [`Mlp::batch_gradient_scalar_with`] — the per-sample reference
-//!   implementation (the pre-workspace algorithm, minus its per-sample
-//!   allocations).
+//!   oracle the batched path and `gradcheck` are tested against (the
+//!   pre-workspace algorithm, minus its per-sample allocations).
 //!
 //! The two are **bit-identical**: every output element of the batched
 //! kernels receives its floating-point additions in the committed lane
@@ -124,12 +123,9 @@ pub struct Workspace {
     lane_grads: Vec<Vec<f64>>,
     /// Flat gradient, laid out like [`Mlp::params_flat`].
     grad: Vec<f64>,
-    /// Full-size prediction matrix returned by the strip-mined
+    /// Full-size prediction matrix returned by the band-mined
     /// [`Mlp::forward_batch_with`].
     out: Matrix,
-    /// Single-sample ping-pong activation buffers (max layer width).
-    ping: Vec<f64>,
-    pong: Vec<f64>,
     /// Scalar reference path: per-layer pre-activation trace.
     trace_pre: Vec<Vec<f64>>,
     /// Scalar reference path: activations (`trace_acts[0]` is the input).
@@ -193,8 +189,6 @@ impl Workspace {
                 .collect(),
             grad: vec![0.0; param_count],
             out: Matrix::zeros(0, mlp.outputs()),
-            ping: vec![0.0; max_width],
-            pong: vec![0.0; max_width],
             trace_pre: mlp
                 .layers()
                 .iter()
@@ -225,12 +219,6 @@ impl Workspace {
     /// Layer widths this workspace was sized for.
     pub fn topology(&self) -> &[usize] {
         &self.topology
-    }
-
-    /// Moves the flat gradient out, leaving an empty vector behind (used
-    /// by the compatibility API that returns an owned gradient).
-    pub(crate) fn take_grad(&mut self) -> Vec<f64> {
-        std::mem::take(&mut self.grad)
     }
 
     /// Whether this workspace was built for exactly `mlp`'s topology.
@@ -280,28 +268,6 @@ impl Workspace {
 }
 
 impl Mlp {
-    /// Allocation-free single-sample forward pass through `ws`'s
-    /// ping-pong buffers; bit-identical to [`Mlp::forward`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] for a wrong input width or a
-    /// workspace built for a different topology.
-    #[wlc_hot]
-    pub fn forward_with<'ws>(
-        &self,
-        input: &[f64],
-        ws: &'ws mut Workspace,
-    ) -> Result<&'ws [f64], NnError> {
-        ws.check(self)?;
-        let (in_ping, width) = self.forward_ping_pong(input, &mut ws.ping, &mut ws.pong)?;
-        Ok(if in_ping {
-            &ws.ping[..width]
-        } else {
-            &ws.pong[..width]
-        })
-    }
-
     /// Allocation-free batched forward pass: one GEMM per layer per
     /// [`BAND_ROWS`] band, so the intermediates stay cache-resident.
     /// Returns the `rows x outputs` prediction matrix held inside `ws`;
@@ -397,14 +363,18 @@ impl Mlp {
     /// pass produces weight/bias-gradient and loss partials that are
     /// folded into the totals in ascending band order, and within a band
     /// every reduction over sample rows uses the committed lane order
-    /// ([`wlc_math::gemm`]). It is bit-identical to
-    /// [`Mlp::batch_gradient`] and performs no heap allocation once the
-    /// workspace has seen the band size.
+    /// ([`wlc_math::gemm`]). It is bit-identical to the reference
+    /// [`Mlp::batch_gradient_scalar_with`] and performs no heap
+    /// allocation once the workspace has seen the band size. The
+    /// gradient layout matches [`Mlp::params_flat`]: for each layer,
+    /// row-major weights followed by biases.
     ///
     /// # Errors
     ///
-    /// As for [`Mlp::batch_gradient`], plus [`NnError::ShapeMismatch`]
-    /// for a workspace with a different topology.
+    /// - [`NnError::EmptyTrainingSet`] if `inputs` has no rows.
+    /// - [`NnError::ShapeMismatch`] if widths do not match the topology,
+    ///   `targets.rows() != inputs.rows()`, or the workspace has a
+    ///   different topology.
     #[wlc_hot]
     pub fn batch_gradient_with(
         &self,
@@ -561,7 +531,8 @@ impl Mlp {
     /// Per-sample reference implementation of the batch gradient — the
     /// pre-workspace algorithm with its allocations replaced by workspace
     /// scratch. Kept as the ground truth the batched GEMM path is tested
-    /// bit-identical against, and as the benchmark baseline.
+    /// bit-identical against, and as the analytic side of
+    /// [`crate::gradcheck`].
     ///
     /// # Errors
     ///
@@ -970,8 +941,8 @@ mod tests {
                 ),
                 130,
             ),
-            // Larger than one whole-dataset strip (STRIP = 256), with a
-            // ragged final strip, to cover the strip-mined forward.
+            // Many BAND_ROWS bands with a ragged final band, to cover
+            // the band-mined forward.
             (mk(3, &[(6, Activation::tanh())], 2, 8), 523),
         ]
     }
@@ -990,20 +961,6 @@ mod tests {
             for r in 0..rows {
                 let single = mlp.forward(xs.row(r)).unwrap();
                 assert_eq!(batch.row(r), single.as_slice(), "row {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn forward_with_is_bitwise_forward() {
-        let mut rng = Xoshiro256::seed_from(22);
-        for (mlp, _) in cases() {
-            let xs = random_batch(4, mlp.inputs(), &mut rng);
-            let mut ws = Workspace::for_mlp(&mlp);
-            for r in 0..4 {
-                let expect = mlp.forward(xs.row(r)).unwrap();
-                let got = mlp.forward_with(xs.row(r), &mut ws).unwrap();
-                assert_eq!(got, expect.as_slice());
             }
         }
     }
@@ -1029,22 +986,6 @@ mod tests {
                 assert_eq!(la.to_bits(), lb.to_bits(), "{loss} loss value");
                 assert_eq!(ws_a.grad(), ws_b.grad(), "{loss} gradient");
             }
-        }
-    }
-
-    #[test]
-    fn compat_batch_gradient_matches_workspace_paths() {
-        let mut rng = Xoshiro256::seed_from(24);
-        for (mlp, rows) in cases() {
-            let xs = random_batch(rows, mlp.inputs(), &mut rng);
-            let ys = random_batch(rows, mlp.outputs(), &mut rng);
-            let (l0, g0) = mlp.batch_gradient(&xs, &ys, Loss::MeanSquared).unwrap();
-            let mut ws = Workspace::for_mlp(&mlp);
-            let l1 = mlp
-                .batch_gradient_with(&xs, &ys, Loss::MeanSquared, &mut ws)
-                .unwrap();
-            assert_eq!(l0.to_bits(), l1.to_bits());
-            assert_eq!(g0.as_slice(), ws.grad());
         }
     }
 
@@ -1088,13 +1029,12 @@ mod tests {
             .build()
             .unwrap();
         let mut ws = Workspace::for_mlp(&mlp_a);
-        assert!(matches!(
-            mlp_b.forward_with(&[0.0; 3], &mut ws),
-            Err(NnError::ShapeMismatch { .. })
-        ));
         let xs = Matrix::zeros(2, 3);
         let ys = Matrix::zeros(2, 2);
-        assert!(mlp_b.forward_batch_with(&xs, &mut ws).is_err());
+        assert!(matches!(
+            mlp_b.forward_batch_with(&xs, &mut ws),
+            Err(NnError::ShapeMismatch { .. })
+        ));
         assert!(mlp_b
             .batch_gradient_with(&xs, &ys, Loss::MeanSquared, &mut ws)
             .is_err());

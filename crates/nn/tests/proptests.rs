@@ -4,7 +4,7 @@
 
 use wlc_math::propcheck::{self, Gen};
 use wlc_math::Matrix;
-use wlc_nn::{gradcheck, Activation, Loss, Mlp, MlpBuilder};
+use wlc_nn::{gradcheck, Activation, Loss, Mlp, MlpBuilder, Workspace};
 
 fn random_data(inputs: usize, outputs: usize, rows: usize, salt: u64) -> (Matrix, Matrix) {
     let xs = Matrix::from_fn(rows, inputs, |r, c| {
@@ -218,10 +218,15 @@ fn sgd_step_reduces_quadratic_loss() {
             .build()
             .unwrap();
         let (xs, ys) = random_data(inputs, 1, 6, seed);
-        let (before, grad) = mlp.batch_gradient(&xs, &ys, Loss::MeanSquared).unwrap();
-        let update: Vec<f64> = grad.iter().map(|g| -1e-3 * g).collect();
+        let mut ws = Workspace::for_mlp(&mlp);
+        let before = mlp
+            .batch_gradient_with(&xs, &ys, Loss::MeanSquared, &mut ws)
+            .unwrap();
+        let update: Vec<f64> = ws.grad().iter().map(|g| -1e-3 * g).collect();
         mlp.apply_update(&update).unwrap();
-        let (after, _) = mlp.batch_gradient(&xs, &ys, Loss::MeanSquared).unwrap();
+        let after = mlp
+            .batch_loss_with(&xs, &ys, Loss::MeanSquared, &mut ws)
+            .unwrap();
         assert!(after <= before + 1e-9, "{before} -> {after}");
     });
 }

@@ -199,9 +199,17 @@ fn read_body(
     }
     if leftover.len() < length {
         let mut rest = vec![0u8; length - leftover.len()];
-        stream
-            .read_exact(&mut rest)
-            .map_err(|e| ServeError::Protocol(format!("connection closed mid-body: {e}")))?;
+        stream.read_exact(&mut rest).map_err(|e| match e.kind() {
+            // A clean close short of the promised length is a malformed
+            // message. A reset or timeout is a connection failure, as it
+            // is while reading the head; clients retry those. (A server
+            // that sheds without reading the request resets the
+            // connection, which can cut its 503 off mid-body.)
+            io::ErrorKind::UnexpectedEof => {
+                ServeError::Protocol(format!("connection closed mid-body: {e}"))
+            }
+            _ => ServeError::Io(e),
+        })?;
         leftover.extend_from_slice(&rest);
     }
     leftover.truncate(length);
@@ -584,6 +592,26 @@ mod tests {
         let req = read_request_deadline(&mut server, Duration::from_secs(5)).unwrap();
         assert_eq!(req.path, "/healthz");
         writer.join().unwrap();
+    }
+
+    /// A peer that resets the connection mid-body has failed at the
+    /// connection level, as it would have while sending the head: the
+    /// client retries such failures instead of reporting a malformed
+    /// message.
+    #[test]
+    fn reset_mid_body_is_a_connection_failure() {
+        let (mut client, mut server) = pair();
+        client
+            .write_all(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc")
+            .unwrap();
+        // Bytes the client never reads make its close a reset (RST)
+        // rather than a clean end of stream.
+        server.write_all(b"unread").unwrap();
+        drop(client);
+        match read_request(&mut server) {
+            Err(ServeError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::ConnectionReset),
+            other => panic!("expected a connection reset, got {other:?}"),
+        }
     }
 
     #[test]

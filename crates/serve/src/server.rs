@@ -31,7 +31,7 @@
 //! | Route            | Purpose                                          |
 //! |------------------|--------------------------------------------------|
 //! | `POST /predict`  | `{"inputs":[...], "deadline_ms":n?}` → prediction |
-//! | `POST /predict_batch` | `{"inputs":[[...],...], "deadline_ms":n?}` → one prediction per row, served through the worker's reusable [`PredictScratch`] (allocation-free model pass) |
+//! | `POST /predict_batch` | `{"inputs":[[...],...], "deadline_ms":n?}` → one prediction per row |
 //! | `GET /healthz`   | liveness (200 while the process serves)          |
 //! | `GET /readyz`    | readiness: per-replica health, ready while ≥ 1 replica can answer |
 //! | `GET /stats`     | fleet counters plus a per-replica breakdown      |
@@ -39,6 +39,10 @@
 //! | `POST /replica`  | `{"replica":n,"action":"kill"\|"revive"\|"force_fail"}` admin/test hook |
 //! | `POST /supervisor` | `{"event":"promotion"\|"rollback"\|...}` learning-lifecycle counters for `/stats` |
 //! | `POST /shutdown` | graceful drain and exit                          |
+//!
+//! Both prediction routes share one handler: `/predict` is a one-row
+//! batch, and every request runs the batched model pass through its
+//! worker's reusable [`PredictScratch`] (allocation-free model pass).
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -96,7 +100,7 @@ pub struct ServeConfig {
     /// makes the jitter sequence reproducible.
     pub shed_jitter_seed: u64,
     /// Worker threads for the batched forward pass inside each
-    /// `/predict_batch` request (a per-worker [`wlc_nn::BandEngine`]
+    /// prediction request (a per-worker [`wlc_nn::BandEngine`]
     /// team; minimum 1). Predictions are bitwise identical for every
     /// setting — the band fan-out never changes reduction order.
     pub band_jobs: usize,
@@ -521,9 +525,11 @@ fn route(
     accepted_at: Instant,
 ) -> (u16, String, bool) {
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/predict") => handle_predict(shared, replica, request, accepted_at),
+        ("POST", "/predict") => {
+            handle_prediction(shared, replica, state, request, accepted_at, Route::Single)
+        }
         ("POST", "/predict_batch") => {
-            handle_predict_batch(shared, replica, state, request, accepted_at)
+            handle_prediction(shared, replica, state, request, accepted_at, Route::Batch)
         }
         ("GET", "/healthz") => (
             200,
@@ -929,11 +935,90 @@ fn record_compute_deadline(replica: &Replica<Conn>, breaker: &CircuitBreaker, se
     }
 }
 
-fn handle_predict(
+/// The two prediction routes. A route decides only how `inputs` is
+/// parsed and how `outputs` is encoded; everything between — deadlines,
+/// breaker choice, forced failures, the model pass and baseline
+/// fallback — is the one path in [`handle_prediction`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// `POST /predict`: one configuration as a flat array, answered as
+    /// a flat array — a one-row batch on the wire's single-row format.
+    Single,
+    /// `POST /predict_batch`: configuration rows, answered row by row.
+    Batch,
+}
+
+impl Route {
+    /// Parses the request's `inputs` into a `rows x width` matrix, or
+    /// the route's 400 message.
+    fn parse_inputs(self, body: &Json, width: usize) -> Result<Matrix, String> {
+        let inputs = body.get("inputs");
+        match self {
+            Route::Single => {
+                let values = inputs
+                    .and_then(Json::as_f64_array)
+                    .ok_or("request must carry an `inputs` array of numbers")?;
+                check_row(&values, width, "")?;
+                Matrix::from_vec(1, width, values).map_err(|e| e.to_string())
+            }
+            Route::Batch => {
+                let rows =
+                    match inputs.and_then(Json::as_arr) {
+                        Some(rows) if !rows.is_empty() => rows,
+                        _ => return Err(
+                            "request must carry a non-empty `inputs` array of configuration rows"
+                                .into(),
+                        ),
+                    };
+                let mut xs = Matrix::zeros(rows.len(), width);
+                for (r, row) in rows.iter().enumerate() {
+                    let values = row
+                        .as_f64_array()
+                        .ok_or_else(|| format!("inputs row {r} must be an array of numbers"))?;
+                    check_row(&values, width, &format!(" in row {r}"))?;
+                    xs.row_mut(r).copy_from_slice(&values);
+                }
+                Ok(xs)
+            }
+        }
+    }
+
+    /// Encodes the prediction matrix as the route's `outputs` field.
+    fn encode_outputs(self, out: &Matrix) -> Json {
+        match self {
+            Route::Single => Json::nums(out.as_slice()),
+            Route::Batch => Json::Arr((0..out.rows()).map(|r| Json::nums(out.row(r))).collect()),
+        }
+    }
+}
+
+/// Rejects a configuration row of the wrong width or with a non-finite
+/// feature; `at` locates the row in the message (empty for `/predict`).
+fn check_row(values: &[f64], width: usize, at: &str) -> Result<(), String> {
+    if values.len() != width {
+        return Err(format!(
+            "configuration width mismatch{at}: expected {width}, got {}",
+            values.len()
+        ));
+    }
+    match values.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(format!("configuration feature {index}{at} is not finite")),
+        None => Ok(()),
+    }
+}
+
+/// `POST /predict` and `POST /predict_batch`: one prediction per input
+/// row, computed by the batched forward pass through the worker's warm
+/// scratch and band engine. The breaker/degradation policy applies to
+/// the whole request: it is answered all from the primary or all from
+/// the baseline — never mixed, so `degraded` stays a single flag.
+fn handle_prediction(
     shared: &Shared,
     replica: &Replica<Conn>,
+    state: &mut WorkerState,
     request: &http::Request,
     accepted_at: Instant,
+    route: Route,
 ) -> (u16, String, bool) {
     let body = match request
         .body_str()
@@ -963,43 +1048,13 @@ fn handle_predict(
             false,
         );
     }
-    let inputs = match body.get("inputs").and_then(Json::as_f64_array) {
-        Some(inputs) => inputs,
-        None => {
-            return (
-                400,
-                error_body("request must carry an `inputs` array of numbers", false),
-                false,
-            )
-        }
-    };
 
     let breaker = replica.breaker();
     let snapshot = replica.slot().snapshot();
-    if inputs.len() != snapshot.inputs() {
-        return (
-            400,
-            error_body(
-                &format!(
-                    "configuration width mismatch: expected {}, got {}",
-                    snapshot.inputs(),
-                    inputs.len()
-                ),
-                false,
-            ),
-            false,
-        );
-    }
-    if let Some(index) = inputs.iter().position(|v| !v.is_finite()) {
-        return (
-            400,
-            error_body(
-                &format!("configuration feature {index} is not finite"),
-                false,
-            ),
-            false,
-        );
-    }
+    let xs = match route.parse_inputs(&body, snapshot.inputs()) {
+        Ok(xs) => xs,
+        Err(reason) => return (400, error_body(&reason, false), false),
+    };
 
     if !shared.config.slow_per_request.is_zero() {
         std::thread::sleep(shared.config.slow_per_request);
@@ -1016,19 +1071,19 @@ fn handle_predict(
     };
 
     let mut primary_error: Option<String> = None;
-    let mut outcome: Option<(Vec<f64>, Served)> = None;
+    let mut outcome: Option<(Json, Served)> = None;
     if let Some(model) = chosen {
         let forced = shared.take_forced_failure();
         if forced {
             breaker.record_failure(Instant::now());
             primary_error = Some("injected primary failure (--force-fail)".into());
         } else {
-            match model.predict(&inputs) {
-                Ok(y) if y.iter().all(|v| v.is_finite()) => {
+            match model.predict_batch_engine(&xs, &mut state.scratch, &mut state.engine) {
+                Ok(out) if out.as_slice().iter().all(|v| v.is_finite()) => {
                     // Success is recorded only after the deadline
                     // check below: a primary answer that arrives too
                     // late is a compute-phase failure, not a success.
-                    outcome = Some((y, Served::Primary));
+                    outcome = Some((route.encode_outputs(out), Served::Primary));
                 }
                 Err(err @ ModelError::NonFiniteInput { .. })
                 | Err(err @ ModelError::WidthMismatch { .. }) => {
@@ -1049,11 +1104,13 @@ fn handle_predict(
             }
         }
     }
-    let (y, served) = match outcome {
+    let (outputs, served) = match outcome {
         Some(pair) => pair,
         None => match snapshot.baseline() {
-            Some(baseline) => match baseline.predict(&inputs) {
-                Ok(y) if y.iter().all(|v| v.is_finite()) => (y, Served::Baseline),
+            Some(baseline) => match baseline.predict_batch(&xs) {
+                Ok(out) if out.as_slice().iter().all(|v| v.is_finite()) => {
+                    (route.encode_outputs(&out), Served::Baseline)
+                }
                 Ok(_) => {
                     return (
                         500,
@@ -1093,8 +1150,8 @@ fn handle_predict(
         .iter()
         .map(|n| Json::Str(n.clone()))
         .collect::<Vec<_>>();
-    let body = Json::obj([
-        ("outputs", Json::nums(&y)),
+    let mut response = Json::obj([
+        ("outputs", outputs),
         ("output_names", Json::Arr(names)),
         ("degraded", Json::Bool(degraded)),
         (
@@ -1109,213 +1166,11 @@ fn handle_predict(
         ),
         ("generation", Json::Num(replica.slot().generation() as f64)),
         ("replica", Json::Num(replica.id() as f64)),
-    ])
-    .to_string();
-    (200, body, degraded)
-}
-
-/// `POST /predict_batch`: one prediction per input row, computed by the
-/// batched GEMM forward pass through the worker's reusable scratch. The
-/// breaker/degradation policy is the same as `/predict`, applied to the
-/// whole batch (it either all comes from the primary or all from the
-/// baseline — never mixed, so `degraded` stays a single flag).
-fn handle_predict_batch(
-    shared: &Shared,
-    replica: &Replica<Conn>,
-    state: &mut WorkerState,
-    request: &http::Request,
-    accepted_at: Instant,
-) -> (u16, String, bool) {
-    let body = match request
-        .body_str()
-        .map_err(|e| e.to_string())
-        .and_then(Json::parse)
-    {
-        Ok(json) => json,
-        Err(reason) => {
-            return (
-                400,
-                error_body(&format!("bad request body: {reason}"), false),
-                false,
-            )
-        }
-    };
-    let deadline = match deadline_for(shared, &body, accepted_at) {
-        Ok(deadline) => deadline,
-        Err(reason) => return (400, error_body(&reason, false), false),
-    };
-    if Instant::now() >= deadline {
-        record_queued_deadline(replica);
-        return (
-            504,
-            error_body("deadline exceeded while queued", true),
-            false,
-        );
+    ]);
+    if let (Route::Batch, Json::Obj(fields)) = (route, &mut response) {
+        fields.insert("rows".into(), Json::Num(xs.rows() as f64));
     }
-    let rows = match body.get("inputs").and_then(Json::as_arr) {
-        Some(rows) if !rows.is_empty() => rows,
-        _ => {
-            return (
-                400,
-                error_body(
-                    "request must carry a non-empty `inputs` array of configuration rows",
-                    false,
-                ),
-                false,
-            )
-        }
-    };
-
-    let breaker = replica.breaker();
-    let snapshot = replica.slot().snapshot();
-    let width = snapshot.inputs();
-    let mut xs = Matrix::zeros(rows.len(), width);
-    for (r, row) in rows.iter().enumerate() {
-        let values = match row.as_f64_array() {
-            Some(values) => values,
-            None => {
-                return (
-                    400,
-                    error_body(
-                        &format!("inputs row {r} must be an array of numbers"),
-                        false,
-                    ),
-                    false,
-                )
-            }
-        };
-        if values.len() != width {
-            return (
-                400,
-                error_body(
-                    &format!(
-                        "configuration width mismatch in row {r}: expected {width}, got {}",
-                        values.len()
-                    ),
-                    false,
-                ),
-                false,
-            );
-        }
-        if let Some(index) = values.iter().position(|v| !v.is_finite()) {
-            return (
-                400,
-                error_body(
-                    &format!("configuration feature {index} in row {r} is not finite"),
-                    false,
-                ),
-                false,
-            );
-        }
-        xs.row_mut(r).copy_from_slice(&values);
-    }
-
-    if !shared.config.slow_per_request.is_zero() {
-        std::thread::sleep(shared.config.slow_per_request);
-    }
-
-    let now = Instant::now();
-    let chosen = match snapshot.primary() {
-        Some(model) if breaker.allow_primary(now) || !snapshot.has_baseline() => Some(model),
-        _ => None,
-    };
-
-    let mut primary_error: Option<String> = None;
-    let mut outcome: Option<(Vec<Json>, Served)> = None;
-    if let Some(model) = chosen {
-        let forced = shared.take_forced_failure();
-        if forced {
-            breaker.record_failure(Instant::now());
-            primary_error = Some("injected primary failure (--force-fail)".into());
-        } else {
-            match model.predict_batch_engine(&xs, &mut state.scratch, &mut state.engine) {
-                Ok(out) if out.as_slice().iter().all(|v| v.is_finite()) => {
-                    // Success is recorded after the deadline check.
-                    let json_rows = (0..out.rows()).map(|r| Json::nums(out.row(r))).collect();
-                    outcome = Some((json_rows, Served::Primary));
-                }
-                Err(err @ ModelError::NonFiniteInput { .. })
-                | Err(err @ ModelError::WidthMismatch { .. }) => {
-                    breaker.abandon_trial();
-                    return (400, error_body(&err.to_string(), false), false);
-                }
-                Ok(_) => {
-                    breaker.record_failure(Instant::now());
-                    primary_error = Some("primary produced non-finite predictions".into());
-                }
-                Err(err) => {
-                    breaker.record_failure(Instant::now());
-                    primary_error = Some(err.to_string());
-                }
-            }
-        }
-    }
-    let (json_rows, served) = match outcome {
-        Some(pair) => pair,
-        None => match snapshot.baseline() {
-            Some(baseline) => match baseline.predict_batch(&xs) {
-                Ok(out) if out.as_slice().iter().all(|v| v.is_finite()) => {
-                    let json_rows = (0..out.rows()).map(|r| Json::nums(out.row(r))).collect();
-                    (json_rows, Served::Baseline)
-                }
-                Ok(_) => {
-                    return (
-                        500,
-                        error_body("baseline produced non-finite predictions", false),
-                        false,
-                    )
-                }
-                Err(err) => return (500, error_body(&err.to_string(), false), false),
-            },
-            None => {
-                let reason = primary_error
-                    .unwrap_or_else(|| "no model available to serve this request".into());
-                return (500, error_body(&reason, false), false);
-            }
-        },
-    };
-
-    if Instant::now() >= deadline {
-        record_compute_deadline(replica, breaker, served);
-        return (
-            504,
-            error_body("deadline exceeded during computation", true),
-            false,
-        );
-    }
-    if served == Served::Primary {
-        breaker.record_success();
-    }
-
-    let degraded = served.is_degraded();
-    if degraded {
-        replica.count_degraded();
-    }
-    let names = snapshot
-        .output_names()
-        .iter()
-        .map(|n| Json::Str(n.clone()))
-        .collect::<Vec<_>>();
-    let body = Json::obj([
-        ("outputs", Json::Arr(json_rows)),
-        ("output_names", Json::Arr(names)),
-        ("rows", Json::Num(rows.len() as f64)),
-        ("degraded", Json::Bool(degraded)),
-        (
-            "model",
-            Json::Str(
-                match served {
-                    Served::Primary => "mlp",
-                    Served::Baseline => "linear-baseline",
-                }
-                .into(),
-            ),
-        ),
-        ("generation", Json::Num(replica.slot().generation() as f64)),
-        ("replica", Json::Num(replica.id() as f64)),
-    ])
-    .to_string();
-    (200, body, degraded)
+    (200, response.to_string(), degraded)
 }
 
 #[cfg(test)]

@@ -405,6 +405,55 @@ fn breaker_opens_degrades_then_half_open_probe_recovers() {
     assert!(stats.degraded >= 4);
 }
 
+/// With no baseline to degrade to, an open breaker must not leave the
+/// server with nothing to answer: the primary keeps serving, on both
+/// prediction routes, and its answers are not tagged degraded.
+#[test]
+fn open_circuit_without_baseline_still_answers_from_primary() {
+    let model = mlp(6);
+    let expected = model.predict(&[2.0, 3.0]).unwrap();
+    let bundle = FallbackModel::new(Some(model), None, vec![], vec![]).unwrap();
+    let config = ServeConfig {
+        force_fail: 1,
+        breaker_threshold: 1,
+        breaker_cooldown: Duration::from_secs(60),
+        ..ServeConfig::default()
+    };
+    let (addr, handle) = start(bundle, config);
+    let client = quick_client(&addr);
+
+    // The injected failure has nothing to fall back to: a 500 that
+    // names the failure and opens the threshold-1 breaker.
+    match client.predict(&[2.0, 3.0]) {
+        Err(ServeError::Rejected {
+            status,
+            retriable,
+            message,
+        }) => {
+            assert_eq!(status, 500);
+            assert!(!retriable);
+            assert_eq!(message, "injected primary failure (--force-fail)");
+        }
+        other => panic!("injected failure without a baseline must be a 500, got {other:?}"),
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.get("breaker").and_then(Json::as_str), Some("open"));
+
+    // Open circuit, no baseline: the primary still answers.
+    let p = client.predict(&[2.0, 3.0]).unwrap();
+    assert!(!p.degraded);
+    assert_eq!(p.model, "mlp");
+    assert_eq!(p.outputs, expected);
+    let batch = client.predict_batch(&[vec![2.0, 3.0]]).unwrap();
+    assert!(!batch.degraded);
+    assert_eq!(batch.model, "mlp");
+    assert_eq!(batch.outputs, vec![expected]);
+
+    client.shutdown().unwrap();
+    let stats = handle.join().unwrap();
+    assert_eq!(stats.degraded, 0);
+}
+
 #[test]
 fn hot_reload_swaps_atomically_under_concurrent_load() {
     let model_a = mlp(5);
@@ -515,36 +564,142 @@ fn predict_batch_error_paths_match_the_http_contract() {
     let client = quick_client(&addr);
 
     // Raw bodies so the test pins the wire contract, not the client's
-    // serializer. Every malformed batch is a 400 per the README status
+    // serializer. Every malformed request is a 400 per the README status
     // table, marked non-retriable, with an error message naming the
-    // problem.
-    let bad: &[(&str, &str)] = &[
-        (r#"{"inputs":[]}"#, "empty batch"),
-        (r#"{"inputs":[[1.0,2.0],[1.0]]}"#, "ragged rows"),
-        (r#"{"inputs":[[1.0,null]]}"#, "non-finite value"),
-        (r#"{"inputs":[5.0]}"#, "non-array row"),
-        (r#"{"inputs":"x"}"#, "non-array inputs"),
-        (r#"{}"#, "missing inputs"),
-        (r#"{"#, "unparseable body"),
+    // problem. Both prediction routes answer the same malformed bodies,
+    // each with its own wording for the input shape it expects.
+    let single_shape = "request must carry an `inputs` array of numbers";
+    let batch_shape = "request must carry a non-empty `inputs` array of configuration rows";
+    let bad_deadline = "deadline_ms must be a positive number of milliseconds";
+    let bad: &[(&str, &str, &str, &str)] = &[
+        // /predict: one configuration as a flat array.
+        (
+            "/predict",
+            r#"{"#,
+            "unparseable body",
+            "bad request body: expected object key at byte 1",
+        ),
+        ("/predict", r#"{}"#, "missing inputs", single_shape),
+        (
+            "/predict",
+            r#"{"inputs":"x"}"#,
+            "non-array inputs",
+            single_shape,
+        ),
+        (
+            "/predict",
+            r#"{"inputs":[[2.0,3.0]]}"#,
+            "nested inputs",
+            single_shape,
+        ),
+        (
+            "/predict",
+            r#"{"inputs":[2.0,null]}"#,
+            "null feature",
+            single_shape,
+        ),
+        (
+            "/predict",
+            r#"{"inputs":[1.0]}"#,
+            "wrong width",
+            "configuration width mismatch: expected 2, got 1",
+        ),
+        (
+            "/predict",
+            r#"{"inputs":[]}"#,
+            "empty inputs",
+            "configuration width mismatch: expected 2, got 0",
+        ),
+        (
+            "/predict",
+            r#"{"inputs":[2.0,1e999]}"#,
+            "non-finite feature",
+            "configuration feature 1 is not finite",
+        ),
+        (
+            "/predict",
+            r#"{"inputs":[2.0,3.0],"deadline_ms":-5}"#,
+            "negative deadline",
+            bad_deadline,
+        ),
+        (
+            "/predict",
+            r#"{"inputs":[2.0,3.0],"deadline_ms":"soon"}"#,
+            "non-numeric deadline",
+            bad_deadline,
+        ),
+        // /predict_batch: configuration rows.
+        (
+            "/predict_batch",
+            r#"{"#,
+            "unparseable body",
+            "bad request body: expected object key at byte 1",
+        ),
+        ("/predict_batch", r#"{}"#, "missing inputs", batch_shape),
+        (
+            "/predict_batch",
+            r#"{"inputs":"x"}"#,
+            "non-array inputs",
+            batch_shape,
+        ),
+        (
+            "/predict_batch",
+            r#"{"inputs":[]}"#,
+            "empty batch",
+            batch_shape,
+        ),
+        (
+            "/predict_batch",
+            r#"{"inputs":[5.0]}"#,
+            "non-array row",
+            "inputs row 0 must be an array of numbers",
+        ),
+        (
+            "/predict_batch",
+            r#"{"inputs":[[1.0,null]]}"#,
+            "null feature",
+            "inputs row 0 must be an array of numbers",
+        ),
+        (
+            "/predict_batch",
+            r#"{"inputs":[[1.0,2.0],[1.0]]}"#,
+            "ragged rows",
+            "configuration width mismatch in row 1: expected 2, got 1",
+        ),
+        (
+            "/predict_batch",
+            r#"{"inputs":[[1.0,2.0],[1e999,2.0]]}"#,
+            "non-finite feature",
+            "configuration feature 0 in row 1 is not finite",
+        ),
+        (
+            "/predict_batch",
+            r#"{"inputs":[[2.0,3.0]],"deadline_ms":0}"#,
+            "zero deadline",
+            bad_deadline,
+        ),
     ];
-    for (body, what) in bad {
-        let resp = client.request("POST", "/predict_batch", body).unwrap();
-        assert_eq!(resp.status, 400, "{what} must answer 400");
+    for (path, body, what, message) in bad {
+        let resp = client.request("POST", path, body).unwrap();
+        assert_eq!(resp.status, 400, "{path} {what} must answer 400");
         let json = Json::parse(resp.body_str().unwrap()).unwrap();
         assert_eq!(
             json.get("retriable").and_then(Json::as_bool),
             Some(false),
-            "{what} is the caller's fault: retrying cannot help"
+            "{path} {what} is the caller's fault: retrying cannot help"
         );
-        assert!(
-            json.get("error")
-                .and_then(Json::as_str)
-                .is_some_and(|m| !m.is_empty()),
-            "{what} must carry an error message"
+        assert_eq!(
+            json.get("error").and_then(Json::as_str),
+            Some(*message),
+            "{path} {what} error message"
         );
     }
 
-    // The same endpoint still answers a well-formed batch.
+    // Both endpoints still answer well-formed requests.
+    let resp = client
+        .request("POST", "/predict", r#"{"inputs":[2.0,3.0]}"#)
+        .unwrap();
+    assert_eq!(resp.status, 200);
     let resp = client
         .request(
             "POST",
@@ -557,6 +712,7 @@ fn predict_batch_error_paths_match_the_http_contract() {
     client.shutdown().unwrap();
     let stats = handle.join().unwrap();
     assert_eq!(stats.deadline_missed, 0);
+    assert_eq!(stats.degraded, 0);
 }
 
 /// Behavioral pin of the breaker accounting sweep (the unit rule lives

@@ -73,12 +73,10 @@ fn model_persistence_preserves_predictions() {
         .train(&dataset)
         .expect("training succeeds");
 
-    let dir = std::env::temp_dir().join("wlc-integration");
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = wlc::math::testdir::TestDir::new("e2e-model_persistence_preserves_predictions");
     let path = dir.join("model.txt");
     outcome.model.save(&path).expect("save succeeds");
     let loaded = WorkloadModel::load(&path).expect("load succeeds");
-    std::fs::remove_file(&path).ok();
 
     let x = [300.0, 8.0, 16.0, 9.0];
     assert_eq!(
