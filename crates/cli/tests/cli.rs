@@ -194,6 +194,54 @@ fn cv_quarantines_forced_divergence() {
     assert!(!stdout(&out).contains("quarantined"));
 }
 
+/// FNV-1a-64 over a byte string.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn collect_csv_bytes_are_golden() {
+    // The exact CSV a small fixed design produces: any change to the
+    // simulator, the design, the replication averaging or the CSV writer
+    // that moves a single byte fails here. `--jobs` must not matter.
+    let dir = workspace("collect_csv_bytes_are_golden");
+    for (replications, len, hash) in [
+        ("1", 1109, 0x15dd_84b3_5dd5_0ee7),
+        ("2", 1113, 0x6502_d05d_b0f3_33ea),
+    ] {
+        for jobs in ["1", "2"] {
+            let path = dir.join(format!("golden-r{replications}-j{jobs}.csv"));
+            let out = wlc(&[
+                "collect",
+                "--samples",
+                "8",
+                "--duration",
+                "3",
+                "--warmup",
+                "1",
+                "--seed",
+                "21",
+                "--replications",
+                replications,
+                "--jobs",
+                jobs,
+                "--out",
+                path.to_str().expect("utf8"),
+            ]);
+            assert!(out.status.success(), "{}", stderr(&out));
+            let csv = std::fs::read(&path).expect("csv");
+            let got = (csv.len(), fnv1a64(&csv));
+            assert_eq!(
+                got,
+                (len, hash),
+                "--replications {replications} --jobs {jobs}: {got:#x?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn collect_with_faults_quarantines_and_stays_deterministic() {
     let dir = workspace("collect_with_faults_quarantines_and_stays_deterministic");
