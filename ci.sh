@@ -54,6 +54,14 @@ for i in $(seq 1 20); do
         || { echo "CLI tests failed on repetition $i"; exit 1; }
 done
 
+if [ "${1:-}" != "quick" ]; then
+    echo "==> perfbench build + tests (its own workspace, outside tier 1)"
+    # perfbench is the only user of the library API outside the
+    # workspace; neither tier 1 nor `cargo build --workspace` compiles
+    # it, so a public-API change could break it without this step.
+    cargo test -q --release --manifest-path perfbench/Cargo.toml
+fi
+
 echo "==> crash-consistency sweep (every op-log prefix of a supervisor round)"
 # Replays a full supervisor round (bootstrap commit, checkpoints,
 # promote, rollback, quarantine) against the simulated filesystem,

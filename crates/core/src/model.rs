@@ -5,8 +5,8 @@ use wlc_data::{Dataset, Scaler};
 use wlc_fault::FsHandle;
 use wlc_math::Matrix;
 use wlc_nn::{
-    Activation, BandEngine, Checkpoint, Loss, Mlp, MlpBuilder, OptimizerKind, TrainConfig,
-    TrainReport, Trainer, Workspace,
+    Activation, BandEngine, Checkpoint, Mlp, MlpBuilder, OptimizerKind, TrainConfig, TrainReport,
+    Trainer, Workspace,
 };
 
 use crate::ModelError;
@@ -447,11 +447,13 @@ pub struct TrainedModel {
 
 /// Builder that configures and trains a [`WorkloadModel`].
 ///
-/// Defaults follow the paper: logistic hidden activations, identity
-/// output, standardized inputs *and* outputs (the paper standardizes
-/// outputs "when approximating multiple performance indicators at the
-/// same time", §3.1), momentum gradient descent, and a termination
-/// threshold for the deliberate loose fit.
+/// Defaults follow the paper: logistic hidden activations, standardized
+/// inputs, momentum gradient descent, and a termination threshold for
+/// the deliberate loose fit. Two choices are fixed rather than
+/// configurable: the output layer is linear (identity), and the outputs
+/// are always standardized (the paper standardizes outputs "when
+/// approximating multiple performance indicators at the same time",
+/// §3.1). Training minimizes mean-squared error.
 ///
 /// # Examples
 ///
@@ -470,19 +472,15 @@ pub struct TrainedModel {
 pub struct WorkloadModelBuilder {
     hidden: Vec<usize>,
     activation: Activation,
-    output_activation: Activation,
     input_scaling: ScalingKind,
-    output_scaling: ScalingKind,
     max_epochs: usize,
     learning_rate: f64,
     optimizer: OptimizerKind,
-    loss: Loss,
     termination_threshold: Option<f64>,
     batch_size: Option<usize>,
     seed: u64,
     hidden_explicit: bool,
     recover: usize,
-    retry_backoff: Option<f64>,
     halt_on_divergence: bool,
     checkpoint: Option<(PathBuf, usize)>,
     checkpoint_fs: Option<FsHandle>,
@@ -496,19 +494,15 @@ impl WorkloadModelBuilder {
         WorkloadModelBuilder {
             hidden: vec![16, 12],
             activation: Activation::logistic(),
-            output_activation: Activation::identity(),
             input_scaling: ScalingKind::Standard,
-            output_scaling: ScalingKind::Standard,
             max_epochs: 2000,
             learning_rate: 0.04,
             optimizer: OptimizerKind::momentum(),
-            loss: Loss::MeanSquared,
             termination_threshold: Some(2e-3),
             batch_size: None,
             seed: 0,
             hidden_explicit: false,
             recover: 0,
-            retry_backoff: None,
             halt_on_divergence: false,
             checkpoint: None,
             checkpoint_fs: None,
@@ -545,21 +539,9 @@ impl WorkloadModelBuilder {
         self
     }
 
-    /// Sets the output activation (default: identity, for regression).
-    pub fn output_activation(mut self, activation: Activation) -> Self {
-        self.output_activation = activation;
-        self
-    }
-
     /// Sets input scaling (default: standardization).
     pub fn input_scaling(mut self, kind: ScalingKind) -> Self {
         self.input_scaling = kind;
-        self
-    }
-
-    /// Sets output scaling (default: standardization).
-    pub fn output_scaling(mut self, kind: ScalingKind) -> Self {
-        self.output_scaling = kind;
         self
     }
 
@@ -578,12 +560,6 @@ impl WorkloadModelBuilder {
     /// Sets the optimizer (default: momentum gradient descent).
     pub fn optimizer(mut self, optimizer: OptimizerKind) -> Self {
         self.optimizer = optimizer;
-        self
-    }
-
-    /// Sets the training loss (default: mean squared error).
-    pub fn loss(mut self, loss: Loss) -> Self {
-        self.loss = loss;
         self
     }
 
@@ -613,17 +589,10 @@ impl WorkloadModelBuilder {
     }
 
     /// Enables divergence recovery: up to `retries` restarts with fresh
-    /// derived seeds and a backed-off learning rate (see
-    /// [`TrainConfig::recover`]).
+    /// derived seeds and the learning rate halved once more per attempt
+    /// (see [`TrainConfig::recover`]).
     pub fn recover(mut self, retries: usize) -> Self {
         self.recover = retries;
-        self
-    }
-
-    /// Learning-rate back-off factor applied on each recovery attempt
-    /// (see [`TrainConfig::retry_backoff`]).
-    pub fn retry_backoff(mut self, backoff: f64) -> Self {
-        self.retry_backoff = Some(backoff);
         self
     }
 
@@ -663,7 +632,6 @@ impl WorkloadModelBuilder {
             .max_epochs(self.max_epochs)
             .learning_rate(self.learning_rate)
             .optimizer(self.optimizer)
-            .loss(self.loss)
             .rng_seed(self.seed);
         if let Some(t) = self.termination_threshold {
             config = config.termination_threshold(t);
@@ -673,9 +641,6 @@ impl WorkloadModelBuilder {
         }
         if self.recover > 0 {
             config = config.recover(self.recover);
-        }
-        if let Some(b) = self.retry_backoff {
-            config = config.retry_backoff(b);
         }
         if self.halt_on_divergence {
             config = config.halt_on_divergence(true);
@@ -699,7 +664,7 @@ impl WorkloadModelBuilder {
     /// - [`ModelError::Nn`] for training failures (divergence, bad
     ///   hyper-parameters).
     pub fn train(&self, dataset: &Dataset) -> Result<TrainedModel, ModelError> {
-        self.train_impl(dataset, None, None)
+        self.train_impl(dataset, None)
     }
 
     /// Continues an interrupted training run from a [`Checkpoint`]
@@ -717,27 +682,12 @@ impl WorkloadModelBuilder {
         dataset: &Dataset,
         checkpoint: &Checkpoint,
     ) -> Result<TrainedModel, ModelError> {
-        self.train_impl(dataset, None, Some(checkpoint))
-    }
-
-    /// Trains on `train` while monitoring `validation` (reported in the
-    /// [`TrainReport`]; useful for overfitting studies).
-    ///
-    /// # Errors
-    ///
-    /// As for [`WorkloadModelBuilder::train`].
-    pub fn train_with_validation(
-        &self,
-        train: &Dataset,
-        validation: &Dataset,
-    ) -> Result<TrainedModel, ModelError> {
-        self.train_impl(train, Some(validation), None)
+        self.train_impl(dataset, Some(checkpoint))
     }
 
     fn train_impl(
         &self,
         dataset: &Dataset,
-        validation: Option<&Dataset>,
         resume: Option<&Checkpoint>,
     ) -> Result<TrainedModel, ModelError> {
         if dataset.is_empty() {
@@ -748,7 +698,7 @@ impl WorkloadModelBuilder {
         }
         let (xs, ys) = dataset.to_matrices();
         let input_scaler = self.input_scaling.fit(&xs)?;
-        let output_scaler = self.output_scaling.fit(&ys)?;
+        let output_scaler = ScalingKind::Standard.fit(&ys)?;
         let tx = input_scaler.transform(&xs)?;
         let ty = output_scaler.transform(&ys)?;
 
@@ -757,24 +707,13 @@ impl WorkloadModelBuilder {
             builder = builder.hidden(width, self.activation);
         }
         let mut mlp = builder
-            .output(dataset.output_width(), self.output_activation)
+            .output(dataset.output_width(), Activation::identity())
             .build()?;
 
         let trainer = Trainer::new(self.train_config());
-        let report = match (validation, resume) {
-            (Some(val), resume) => {
-                let (vx, vy) = val.to_matrices();
-                let tvx = input_scaler.transform(&vx)?;
-                let tvy = output_scaler.transform(&vy)?;
-                match resume {
-                    Some(ck) => {
-                        trainer.resume_from_with_validation(&mut mlp, &tx, &ty, &tvx, &tvy, ck)?
-                    }
-                    None => trainer.fit_with_validation(&mut mlp, &tx, &ty, &tvx, &tvy)?,
-                }
-            }
-            (None, Some(ck)) => trainer.resume_from(&mut mlp, &tx, &ty, ck)?,
-            (None, None) => trainer.fit(&mut mlp, &tx, &ty)?,
+        let report = match resume {
+            Some(ck) => trainer.resume_from(&mut mlp, &tx, &ty, ck)?,
+            None => trainer.fit(&mut mlp, &tx, &ty)?,
         };
 
         Ok(TrainedModel {
@@ -1063,24 +1002,10 @@ mod tests {
     }
 
     #[test]
-    fn validation_monitoring_reports_history() {
-        let ds = synthetic_dataset();
-        let val = ds.subset(&[0, 9, 18, 27]).unwrap();
-        let outcome = quick_builder()
-            .max_epochs(50)
-            .no_termination_threshold()
-            .train_with_validation(&ds, &val)
-            .unwrap();
-        assert_eq!(outcome.report.val_history.len(), 50);
-        assert!(outcome.report.final_val_loss.is_some());
-    }
-
-    #[test]
     fn min_max_scaling_variant_works() {
         let ds = synthetic_dataset();
         let outcome = quick_builder()
             .input_scaling(ScalingKind::MinMax)
-            .output_scaling(ScalingKind::MinMax)
             .train(&ds)
             .unwrap();
         let report = outcome.model.evaluate(&ds).unwrap();
@@ -1114,12 +1039,8 @@ mod tests {
             base.clone().train(&ds),
             Err(ModelError::Nn(wlc_nn::NnError::Diverged { .. }))
         ));
-        let outcome = base
-            .clone()
-            .recover(2)
-            .retry_backoff(1e-8)
-            .train(&ds)
-            .unwrap();
+        // Each retry halves the rate; 40 retries reach one that trains.
+        let outcome = base.clone().recover(40).train(&ds).unwrap();
         assert!(outcome.report.recovery_attempts >= 1);
         // halt_on_divergence reports instead of erroring.
         let halted = base.halt_on_divergence(true).train(&ds).unwrap();

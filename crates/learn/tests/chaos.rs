@@ -74,7 +74,7 @@ fn kill_mid_retrain_then_corrupt_checkpoint_resumes_byte_identically() {
     // — which produces the same bytes either way.
     fs::write(
         dir_b.join("retrain-2.ckpt"),
-        b"wlc-nn-checkpoint v1\ngarbage\n",
+        b"wlc-nn-checkpoint v2\ngarbage\n",
     )
     .unwrap();
 

@@ -1,10 +1,10 @@
 //! Training checkpoints.
 //!
 //! A [`Checkpoint`] captures the *complete* trainer state at an epoch
-//! boundary — network parameters, optimizer moments, loss histories,
-//! early-stopping bookkeeping and the recovery-attempt index — so a run
-//! killed mid-way can resume with [`crate::Trainer::resume_from`] and
-//! finish bit-identically to an uninterrupted run.
+//! boundary — network parameters, optimizer moments, loss history and
+//! the recovery-attempt index — so a run killed mid-way can resume with
+//! [`crate::Trainer::resume_from`] and finish bit-identically to an
+//! uninterrupted run.
 //!
 //! The on-disk format extends the model text format: a small header of
 //! `key value` lines followed by the [`Mlp::to_text`] body. Floats are
@@ -17,7 +17,9 @@ use wlc_fault::Fs;
 
 use crate::{Mlp, NnError};
 
-const MAGIC: &str = "wlc-nn-checkpoint v1";
+/// The version changes whenever the header lines do, so a file written
+/// by another version is rejected at line 1 rather than misread.
+const MAGIC: &str = "wlc-nn-checkpoint v2";
 
 /// A snapshot of mid-training state (see the module docs).
 ///
@@ -30,24 +32,14 @@ pub struct Checkpoint {
     pub(crate) epoch: usize,
     /// Recovery attempt the run was on (0 = first try).
     pub(crate) attempt: usize,
-    /// Failed recovery attempts before this one.
-    pub(crate) recovery_attempts: usize,
     /// Optimizer step count.
     pub(crate) opt_step: u64,
     /// Optimizer velocity buffer (empty if unused).
     pub(crate) opt_velocity: Vec<f64>,
     /// Optimizer second-moment buffer (empty if unused).
     pub(crate) opt_second: Vec<f64>,
-    /// Best validation loss seen (early stopping).
-    pub(crate) best_val: Option<f64>,
-    /// Epochs without validation improvement (early stopping).
-    pub(crate) stall: usize,
-    /// Parameters at the best validation loss (early stopping).
-    pub(crate) best_params: Option<Vec<f64>>,
     /// Per-epoch training losses so far.
     pub(crate) loss_history: Vec<f64>,
-    /// Per-epoch validation losses so far.
-    pub(crate) val_history: Vec<f64>,
     /// The network at the snapshot.
     pub(crate) mlp: Mlp,
 }
@@ -85,21 +77,10 @@ impl Checkpoint {
         out.push('\n');
         out.push_str(&format!("epoch {}\n", self.epoch));
         out.push_str(&format!("attempt {}\n", self.attempt));
-        out.push_str(&format!("recovery_attempts {}\n", self.recovery_attempts));
         out.push_str(&format!("opt_step {}\n", self.opt_step));
         out.push_str(&format!("opt_velocity {}\n", floats(&self.opt_velocity)));
         out.push_str(&format!("opt_second {}\n", floats(&self.opt_second)));
-        match self.best_val {
-            Some(v) => out.push_str(&format!("best_val {v:?}\n")),
-            None => out.push_str("best_val -\n"),
-        }
-        out.push_str(&format!("stall {}\n", self.stall));
-        match &self.best_params {
-            Some(p) => out.push_str(&format!("best_params {}\n", floats(p))),
-            None => out.push_str("best_params -\n"),
-        }
         out.push_str(&format!("loss_history {}\n", floats(&self.loss_history)));
-        out.push_str(&format!("val_history {}\n", floats(&self.val_history)));
         out.push_str(&self.mlp.to_text());
         out
     }
@@ -135,33 +116,14 @@ impl Checkpoint {
         let epoch: usize = raw.parse().map_err(|_| parse_err(ln, "bad epoch"))?;
         let (ln, raw) = field("attempt")?;
         let attempt: usize = raw.parse().map_err(|_| parse_err(ln, "bad attempt"))?;
-        let (ln, raw) = field("recovery_attempts")?;
-        let recovery_attempts: usize = raw
-            .parse()
-            .map_err(|_| parse_err(ln, "bad recovery_attempts"))?;
         let (ln, raw) = field("opt_step")?;
         let opt_step: u64 = raw.parse().map_err(|_| parse_err(ln, "bad opt_step"))?;
         let (ln, raw) = field("opt_velocity")?;
-        let opt_velocity = parse_floats_opt(&raw, ln)?.unwrap_or_default();
+        let opt_velocity = parse_floats(&raw, ln)?;
         let (ln, raw) = field("opt_second")?;
-        let opt_second = parse_floats_opt(&raw, ln)?.unwrap_or_default();
-        let (ln, raw) = field("best_val")?;
-        let best_val = if raw == "-" {
-            None
-        } else {
-            Some(
-                raw.parse::<f64>()
-                    .map_err(|_| parse_err(ln, "bad best_val"))?,
-            )
-        };
-        let (ln, raw) = field("stall")?;
-        let stall: usize = raw.parse().map_err(|_| parse_err(ln, "bad stall"))?;
-        let (ln, raw) = field("best_params")?;
-        let best_params = parse_floats_opt(&raw, ln)?;
+        let opt_second = parse_floats(&raw, ln)?;
         let (ln, raw) = field("loss_history")?;
-        let loss_history = parse_floats_opt(&raw, ln)?.unwrap_or_default();
-        let (ln, raw) = field("val_history")?;
-        let val_history = parse_floats_opt(&raw, ln)?.unwrap_or_default();
+        let loss_history = parse_floats(&raw, ln)?;
 
         // Preserve the document's own trailing-newline state so the
         // network parser's truncation guard still sees a torn final
@@ -175,23 +137,13 @@ impl Checkpoint {
         if loss_history.len() < epoch {
             return Err(parse_err(0, "loss history shorter than epoch count"));
         }
-        if let Some(p) = &best_params {
-            if p.len() != mlp.param_count() {
-                return Err(parse_err(0, "best_params length does not match network"));
-            }
-        }
         Ok(Checkpoint {
             epoch,
             attempt,
-            recovery_attempts,
             opt_step,
             opt_velocity,
             opt_second,
-            best_val,
-            stall,
-            best_params,
             loss_history,
-            val_history,
             mlp,
         })
     }
@@ -252,18 +204,17 @@ fn parse_err(line: usize, reason: &str) -> NnError {
     }
 }
 
-/// Parses a space-separated float list; `-` means "absent".
-fn parse_floats_opt(s: &str, line: usize) -> Result<Option<Vec<f64>>, NnError> {
+/// Parses a space-separated float list; `-` is the empty list.
+fn parse_floats(s: &str, line: usize) -> Result<Vec<f64>, NnError> {
     if s == "-" {
-        return Ok(None);
+        return Ok(Vec::new());
     }
     s.split_whitespace()
         .map(|tok| {
             tok.parse::<f64>()
                 .map_err(|_| parse_err(line, "bad float in checkpoint header"))
         })
-        .collect::<Result<Vec<f64>, NnError>>()
-        .map(Some)
+        .collect()
 }
 
 #[cfg(test)]
@@ -282,15 +233,10 @@ mod tests {
         Checkpoint {
             epoch: 7,
             attempt: 1,
-            recovery_attempts: 1,
             opt_step: 7,
             opt_velocity: vec![0.125; n],
             opt_second: Vec::new(),
-            best_val: Some(0.375),
-            stall: 2,
-            best_params: Some(mlp.params_flat()),
             loss_history: vec![1.0, 0.5, 0.25, 0.2, 0.19, 0.185, 0.18],
-            val_history: vec![1.1, 0.6, 0.3, 0.25, 0.26, 0.27, 0.28],
             mlp,
         }
     }
@@ -305,10 +251,7 @@ mod tests {
     #[test]
     fn roundtrip_without_optional_fields() {
         let mut ck = sample();
-        ck.best_val = None;
-        ck.best_params = None;
         ck.opt_velocity = Vec::new();
-        ck.val_history = Vec::new();
         let back = Checkpoint::from_text(&ck.to_text()).unwrap();
         assert_eq!(back, ck);
     }
@@ -319,6 +262,12 @@ mod tests {
         let text = ck.to_text();
         assert!(matches!(
             Checkpoint::from_text(&text.replacen("wlc-nn-checkpoint", "nope", 1)),
+            Err(NnError::Parse { line: 1, .. })
+        ));
+        // A version-1 file (with the early-stopping fields) is refused
+        // at its header rather than misread.
+        assert!(matches!(
+            Checkpoint::from_text(&text.replacen("checkpoint v2", "checkpoint v1", 1)),
             Err(NnError::Parse { line: 1, .. })
         ));
         for keep in [1, 3, 8, 12] {

@@ -8,12 +8,14 @@
 //! - [`Mlp`] / [`MlpBuilder`] — dense feed-forward networks with
 //!   back-propagation ([`Mlp::batch_gradient_with`]); [`Mlp::forward`]
 //!   is the single-row path.
-//! - [`Loss`] — mean-squared error and friends.
+//! - [`Loss`] — mean-squared error (what the trainer minimizes) and the
+//!   robust alternatives the batched kernels also accept.
 //! - [`optimizer`] — plain gradient descent (the paper's method) plus
 //!   momentum, RMSProp and Adam.
-//! - [`Trainer`] — mini-batch training with the paper's *termination
-//!   threshold* (deliberate loose fitting, §3.3) and patience-based early
-//!   stopping.
+//! - [`Trainer`] — the paper's one training recipe: gradient descent on
+//!   mean-squared error, full batch or shuffled mini-batches, stopped by
+//!   the *termination threshold* (deliberate loose fitting, §3.3), with
+//!   divergence recovery and resumable [`Checkpoint`]s.
 //! - [`LogarithmicNetwork`] — the unbounded-approximation variant the
 //!   paper cites (ref \[23\]) when discussing the extrapolation limitation.
 //! - [`RbfNetwork`] — the radial-basis-function family §2.1 names as the
@@ -34,7 +36,7 @@
 //!
 //! ```
 //! use wlc_math::Matrix;
-//! use wlc_nn::{Activation, Loss, MlpBuilder, TrainConfig, Trainer};
+//! use wlc_nn::{Activation, MlpBuilder, TrainConfig, Trainer};
 //!
 //! let xs = Matrix::from_rows(&[&[-1.0], &[-0.5], &[0.0], &[0.5], &[1.0]]).unwrap();
 //! let ys = Matrix::from_rows(&[&[1.0], &[0.25], &[0.0], &[0.25], &[1.0]]).unwrap();
@@ -46,10 +48,7 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! let config = TrainConfig::new()
-//!     .max_epochs(2000)
-//!     .learning_rate(0.05)
-//!     .loss(Loss::MeanSquared);
+//! let config = TrainConfig::new().max_epochs(2000).learning_rate(0.05);
 //! let report = Trainer::new(config).fit(&mut mlp, &xs, &ys).unwrap();
 //! assert!(report.final_train_loss < 0.05);
 //! ```
@@ -69,7 +68,6 @@ mod loss;
 mod mlp;
 pub mod optimizer;
 mod rbf;
-mod schedule;
 mod serialize;
 mod train;
 mod workspace;
@@ -85,6 +83,5 @@ pub use loss::Loss;
 pub use mlp::{Mlp, MlpBuilder};
 pub use optimizer::{Optimizer, OptimizerKind};
 pub use rbf::RbfNetwork;
-pub use schedule::LearningRateSchedule;
 pub use train::{StopReason, TrainConfig, TrainReport, Trainer};
 pub use workspace::{Workspace, BAND_ROWS};

@@ -8,8 +8,9 @@ use crate::NnError;
 ///
 /// The paper trains "with a goal to minimize the error between the
 /// predicted value and the actual value, i.e. ‖Ŷ − Y‖" (§2.2); that is
-/// [`Loss::MeanSquared`]. The others are standard robust alternatives
-/// exercised by the ablation benchmarks.
+/// [`Loss::MeanSquared`], the only loss the [`crate::Trainer`] uses. The
+/// others are standard robust alternatives that the batched kernels and
+/// [`crate::gradcheck`] also accept.
 ///
 /// # Examples
 ///

@@ -210,12 +210,6 @@ impl Workspace {
         &self.grad
     }
 
-    /// Mutable access to the flat gradient — the training loop applies
-    /// weight decay and clipping in place.
-    pub fn grad_mut(&mut self) -> &mut [f64] {
-        &mut self.grad
-    }
-
     /// Layer widths this workspace was sized for.
     pub fn topology(&self) -> &[usize] {
         &self.topology
