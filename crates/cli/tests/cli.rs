@@ -204,16 +204,40 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 #[test]
 fn collect_csv_bytes_are_golden() {
     // The exact CSV a small fixed design produces: any change to the
-    // simulator, the design, the replication averaging or the CSV writer
-    // that moves a single byte fails here. `--jobs` must not matter.
+    // simulator, the design, the replication averaging, the fault
+    // injection or the CSV writer that moves a single byte fails here.
+    // `--jobs` must not matter.
     let dir = workspace("collect_csv_bytes_are_golden");
-    for (replications, len, hash) in [
-        ("1", 1109, 0x15dd_84b3_5dd5_0ee7),
-        ("2", 1113, 0x6502_d05d_b0f3_33ea),
+    let faulty = "dropout=0.3,stall=0.2,truncate=0.3,truncate_frac=0.5,spike=0.2,spike_scale=0.5";
+    for (name, extra, len, hash, faults) in [
+        (
+            "r1",
+            &["--replications", "1"][..],
+            1109,
+            0x15dd_84b3_5dd5_0ee7,
+            None,
+        ),
+        (
+            "r2",
+            &["--replications", "2"][..],
+            1113,
+            0x6502_d05d_b0f3_33ea,
+            None,
+        ),
+        (
+            "faulty",
+            &["--fault-profile", faulty, "--retries", "2"][..],
+            1010,
+            0xc177_b752_836d_b59e,
+            Some(
+                "fault injection: 4 dropouts, 5 stalls, 2 truncated runs, \
+                 10 indicator spikes, 1 quarantined configurations",
+            ),
+        ),
     ] {
         for jobs in ["1", "2"] {
-            let path = dir.join(format!("golden-r{replications}-j{jobs}.csv"));
-            let out = wlc(&[
+            let path = dir.join(format!("golden-{name}-j{jobs}.csv"));
+            let mut args = vec![
                 "collect",
                 "--samples",
                 "8",
@@ -223,21 +247,20 @@ fn collect_csv_bytes_are_golden() {
                 "1",
                 "--seed",
                 "21",
-                "--replications",
-                replications,
                 "--jobs",
                 jobs,
                 "--out",
                 path.to_str().expect("utf8"),
-            ]);
+            ];
+            args.extend_from_slice(extra);
+            let out = wlc(&args);
             assert!(out.status.success(), "{}", stderr(&out));
             let csv = std::fs::read(&path).expect("csv");
             let got = (csv.len(), fnv1a64(&csv));
-            assert_eq!(
-                got,
-                (len, hash),
-                "--replications {replications} --jobs {jobs}: {got:#x?}"
-            );
+            assert_eq!(got, (len, hash), "{name} --jobs {jobs}: {got:#x?}");
+            let err = stderr(&out);
+            let line = err.lines().find(|l| l.starts_with("fault injection:"));
+            assert_eq!(line, faults, "{name} --jobs {jobs}");
         }
     }
 }
