@@ -78,6 +78,13 @@ if [ "${1:-}" != "quick" ]; then
         --fault-profile dropout=0.3,truncate=0.2,truncate_frac=0.5 --retries 6
     ./target/release/wlc cv --data "$smoke_dir/faulty.csv" --k 3 \
         --epochs 200 --hidden 6 --force-diverge 1 --quarantine
+    # A truncated window that completes nothing is retried, then
+    # quarantined: the campaign must still succeed.
+    ./target/release/wlc collect --samples 4 --out "$smoke_dir/truncated.csv" \
+        --duration 3 --warmup 1 --seed 4 \
+        --fault-profile truncate=1,truncate_frac=0.001 --retries 1 \
+        2> "$smoke_dir/truncated.err"
+    grep "quarantined (all attempts failed)" "$smoke_dir/truncated.err"
 
     echo "==> thread-matrix determinism smoke (--jobs 1/2/4 byte-compare)"
     # Train the same model at three band-thread counts and sweep a

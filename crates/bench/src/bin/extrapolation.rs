@@ -13,7 +13,7 @@ use wlc_math::Matrix;
 use wlc_model::report::format_table;
 use wlc_model::PerformanceModel;
 use wlc_nn::{Activation, LogarithmicNetwork, MlpBuilder, TrainConfig, Trainer};
-use wlc_sim::{run_design, ServerConfig};
+use wlc_sim::{run_design, ServerConfig, Simulation};
 
 fn config(rate: f64) -> ServerConfig {
     ServerConfig::builder()
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let test_rates = [250.0, 350.0, 420.0, 500.0, 560.0, 620.0];
     let mut rows = Vec::new();
     for &rate in &test_rates {
-        let truth = wlc_sim::simulate(config(rate), 77)?.throughput();
+        let truth = Simulation::new(config(rate)).seed(77).run()?.throughput();
         let mlp_pred = mlp_model.predict(&config(rate).as_vector())?[4];
         let log_pred = lognet.predict(&[rate])?[0];
         let tag = if rate <= 420.0 {

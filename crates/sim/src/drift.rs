@@ -19,7 +19,7 @@
 //! [`stream_window`] turns a contiguous tick range into measured
 //! samples: each tick samples a server configuration, simulates it under
 //! the drifted workload, and passes through the same fault-injection
-//! machinery as [`crate::run_design_faulty`] (dropout/stall retried then
+//! step as [`crate::run_design_faulty_jobs`] (dropout/stall retried then
 //! quarantined, truncation/spikes degrade the measurement). All
 //! randomness is derived from `(base_seed, absolute tick, attempt)`, so
 //! a stream is bit-identical for any worker count *and* for any
@@ -28,13 +28,12 @@
 use std::fmt;
 use std::str::FromStr;
 
-use wlc_data::{Dataset, Sample};
+use wlc_data::Dataset;
 use wlc_math::distributions::Distribution;
 use wlc_math::rng::{Seed, Xoshiro256};
 
 use crate::config::{ServerConfig, WorkloadSpec};
-use crate::fault::{standard_normal, FaultKind, FaultProfile, FaultSummary, FAULT_STREAM};
-use crate::runner::{Simulation, INPUT_NAMES, OUTPUT_NAMES};
+use crate::fault::{Campaign, FaultProfile, FaultSummary};
 use crate::transaction::{DomainQueue, StageDemands, TransactionClass, TransactionKind};
 use crate::SimError;
 
@@ -315,9 +314,11 @@ pub struct StreamConfig {
 /// Each tick samples a server configuration uniformly from the
 /// `wlc collect` default ranges, simulates it under
 /// [`DriftProfile::workload_at`] for that tick, and applies the fault
-/// profile exactly as [`crate::run_design_faulty_jobs`] does (dropout
-/// and stall attempts are retried with fresh fault draws, then the tick
-/// is quarantined; truncation and spikes degrade the measurement).
+/// profile through the same fault step as
+/// [`crate::run_design_faulty_jobs`] (dropout and stall attempts, and
+/// truncated attempts that complete nothing, are retried with fresh
+/// fault draws, then the tick is quarantined; truncation and spikes
+/// otherwise degrade the measurement).
 /// Quarantined entries in the returned [`FaultSummary`] are **absolute
 /// ticks**. Output is bit-identical for any `jobs` value and for any
 /// windowing of the same tick range.
@@ -327,7 +328,7 @@ pub struct StreamConfig {
 /// - [`SimError::InvalidFaultProfile`] / [`SimError::InvalidDriftProfile`]
 ///   for invalid profiles.
 /// - [`SimError::InvalidConfig`] / [`SimError::NoCompletions`] from any
-///   individual (non-injected) run failure.
+///   individual (non-injected, untruncated) run failure.
 /// - [`SimError::Data`] if dataset assembly fails.
 ///
 /// # Examples
@@ -354,86 +355,28 @@ pub fn stream_window(
     start_tick: u64,
     ticks: usize,
 ) -> Result<(Dataset, FaultSummary), SimError> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    cfg.faults.validate()?;
-    cfg.drift.validate()?;
-    let root = Seed::new(cfg.base_seed);
-    let fault_root = root.derive(FAULT_STREAM);
-    let config_root = root.derive(CONFIG_STREAM);
-    let dropouts = AtomicUsize::new(0);
-    let stalls = AtomicUsize::new(0);
-    let truncations = AtomicUsize::new(0);
-    let spikes = AtomicUsize::new(0);
-
-    // One accepted sample: configuration inputs and indicator outputs.
-    type SampleRow = (Vec<f64>, Vec<f64>);
-    let task = |i: usize, attempt: usize| -> Result<Option<SampleRow>, SimError> {
-        let tick = start_tick + i as u64;
-        let mut faults =
-            Xoshiro256::seed_from(fault_root.derive(tick).derive(attempt as u64).value());
-        // Hard failures first: the tick never produces a measurement.
-        if faults.next_f64() < cfg.faults.sample_dropout {
-            dropouts.fetch_add(1, Ordering::Relaxed);
-            let kind = FaultKind::SampleDropout;
-            if attempt < cfg.max_retries {
-                return Err(SimError::InjectedFault { index: i, kind });
-            }
-            return Ok(None); // retries exhausted: quarantine the tick
-        }
-        if faults.next_f64() < cfg.faults.stall_prob {
-            stalls.fetch_add(1, Ordering::Relaxed);
-            let kind = FaultKind::QueueStall;
-            if attempt < cfg.max_retries {
-                return Err(SimError::InjectedFault { index: i, kind });
-            }
-            return Ok(None);
-        }
-        // Degradations: the tick completes but the measurement suffers.
-        let mut duration = cfg.duration_secs;
-        if faults.next_f64() < cfg.faults.truncate_prob {
-            truncations.fetch_add(1, Ordering::Relaxed);
-            duration =
-                cfg.warmup_secs + (cfg.duration_secs - cfg.warmup_secs) * cfg.faults.truncate_frac;
-        }
-        let config = sample_config(config_root, tick)?;
-        let workload = cfg.drift.workload_at(tick)?;
-        let m = Simulation::new(config)
-            .workload(workload)
-            .seed(root.derive(tick).value())
-            .duration_secs(duration)
-            .warmup_secs(cfg.warmup_secs)
-            .run()?;
-        let mut y = m.indicators();
-        for v in &mut y {
-            if faults.next_f64() < cfg.faults.noise_spike_prob {
-                spikes.fetch_add(1, Ordering::Relaxed);
-                *v *= 1.0 + cfg.faults.noise_spike_scale * standard_normal(&mut faults).abs();
-            }
-        }
-        Ok(Some((config.as_vector(), y)))
-    };
-    let rows = wlc_exec::try_map_indexed_retry(cfg.jobs, ticks, cfg.max_retries, task)?;
-
-    let mut ds = Dataset::new(
-        INPUT_NAMES.iter().map(|s| s.to_string()).collect(),
-        OUTPUT_NAMES.iter().map(|s| s.to_string()).collect(),
+    let campaign = Campaign::new(
+        cfg.base_seed,
+        cfg.duration_secs,
+        cfg.warmup_secs,
+        cfg.faults,
+        cfg.max_retries,
     )?;
-    let mut quarantined = Vec::new();
-    for (i, row) in rows.into_iter().enumerate() {
-        match row {
-            Some((x, y)) => ds.push(Sample::new(x, y))?,
-            None => quarantined.push(start_tick as usize + i),
-        }
-    }
-    let summary = FaultSummary {
-        dropouts: dropouts.into_inner(),
-        stalls: stalls.into_inner(),
-        truncations: truncations.into_inner(),
-        spikes: spikes.into_inner(),
-        quarantined,
-    };
-    Ok((ds, summary))
+    cfg.drift.validate()?;
+    let config_root = Seed::new(cfg.base_seed).derive(CONFIG_STREAM);
+    let configs = (start_tick..start_tick + ticks as u64)
+        .map(|tick| sample_config(config_root, tick))
+        .collect::<Result<Vec<_>, _>>()?;
+    let rows = wlc_exec::try_map_indexed_retry(cfg.jobs, ticks, cfg.max_retries, |i, attempt| {
+        let tick = start_tick + i as u64;
+        campaign.attempt(tick, attempt, configs[i], |sim| {
+            Ok(sim
+                .workload(cfg.drift.workload_at(tick)?)
+                .run()?
+                .indicators())
+        })
+    })?;
+    campaign.finish(&configs, start_tick, rows)
 }
 
 /// Samples the tick's server configuration from the collect ranges.
@@ -454,6 +397,7 @@ fn sample_config(config_root: Seed, tick: u64) -> Result<ServerConfig, SimError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OUTPUT_NAMES;
 
     #[test]
     fn parse_profiles() {
@@ -588,6 +532,17 @@ mod tests {
         assert_eq!(summary.quarantined, vec![10, 11]);
         // Every attempt (initial + 2 retries) on both ticks dropped.
         assert_eq!(summary.dropouts, 6);
+    }
+
+    #[test]
+    fn truncated_tick_that_completes_nothing_is_quarantined() {
+        let mut cfg = stream(3, 2);
+        cfg.faults = "truncate=1.0,truncate_frac=0.000001".parse().unwrap();
+        let (ds, summary) = stream_window(&cfg, 4, 2).unwrap();
+        assert!(ds.is_empty());
+        assert_eq!(summary.quarantined, vec![4, 5]);
+        // Every attempt (initial + 2 retries) on both ticks truncated.
+        assert_eq!(summary.truncations, 6);
     }
 
     #[test]

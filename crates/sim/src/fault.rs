@@ -4,24 +4,28 @@
 //! Real measurement campaigns lose runs: a load generator dies, a
 //! monitoring agent truncates its window, a counter picks up a noise
 //! spike, a work queue stalls. A [`FaultProfile`] injects those failure
-//! modes into [`run_design_faulty`] so the rest of the pipeline
-//! (retries, quarantine, strict CSV validation) can be exercised
-//! deterministically:
+//! modes into [`run_design_faulty_jobs`] and [`crate::stream_window`] so
+//! the rest of the pipeline (retries, quarantine, strict CSV validation)
+//! can be exercised deterministically:
 //!
 //! - **sample dropout** — the run fails outright (retryable),
 //! - **queue stall** — the run hangs and is abandoned (retryable),
 //! - **truncated run** — only a fraction of the measurement window is
-//!   collected, inflating sampling error,
+//!   collected, inflating sampling error (retryable if the shortened
+//!   window completes nothing),
 //! - **noise spike** — individual indicators are multiplied by a random
 //!   factor `>= 1`.
 //!
-//! All faults are driven by an RNG derived from
+//! Every collection path, fault-free ones included, measures through
+//! one fault step, so the draw order and the retry-then-quarantine rule
+//! exist once. All faults are driven by an RNG derived from
 //! `(base_seed, index, attempt)`, so a faulty campaign is bit-identical
 //! for any worker count, and a retry of the same task sees *different*
 //! faults — exactly like re-running a flaky measurement.
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use wlc_data::{Dataset, Sample};
 use wlc_exec::RunReport;
@@ -32,7 +36,7 @@ use crate::runner::{Simulation, INPUT_NAMES, OUTPUT_NAMES};
 use crate::SimError;
 
 /// Stream constant separating fault randomness from simulation seeds.
-pub(crate) const FAULT_STREAM: u64 = 0xF417;
+const FAULT_STREAM: u64 = 0xF417;
 
 /// Which injected failure mode fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,7 +204,8 @@ impl FromStr for FaultProfile {
     }
 }
 
-/// Tally of faults injected during one [`run_design_faulty`] campaign.
+/// Tally of faults injected during one [`run_design_faulty_jobs`] or
+/// [`crate::stream_window`] campaign.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct FaultSummary {
@@ -240,14 +245,15 @@ impl fmt::Display for FaultSummary {
 }
 
 /// One standard-normal draw (Box–Muller; consumes two uniforms).
-pub(crate) fn standard_normal(rng: &mut Xoshiro256) -> f64 {
+fn standard_normal(rng: &mut Xoshiro256) -> f64 {
     let u1 = 1.0 - rng.next_f64(); // (0, 1]: safe for ln
     let u2 = rng.next_f64();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 /// [`crate::run_design`] under an injected [`FaultProfile`], with
-/// per-configuration retries.
+/// per-configuration retries, on `jobs` workers (`jobs <= 1` runs
+/// sequentially).
 ///
 /// Each attempt draws its faults from an RNG seeded by
 /// `(base_seed, index, attempt)`; a dropout or stall fails the attempt
@@ -255,21 +261,23 @@ pub(crate) fn standard_normal(rng: &mut Xoshiro256) -> f64 {
 /// draws. A configuration whose every attempt fails is **quarantined**:
 /// its row is omitted from the dataset and its index recorded in the
 /// [`FaultSummary`]. Truncations and spikes degrade the measurement but
-/// do not fail it. The simulation seed itself depends only on `index`,
-/// so with [`FaultProfile::none`] the output is bit-identical to
-/// [`crate::run_design`].
+/// do not fail it; a truncated window that completes no transaction
+/// counts as a failed attempt. The simulation seed itself depends only
+/// on `index`, so [`FaultProfile::none`] with no retries *is*
+/// [`crate::run_design`]. Output is bit-identical for every `jobs`
+/// value.
 ///
 /// # Errors
 ///
 /// - [`SimError::InvalidFaultProfile`] for an invalid profile.
 /// - [`SimError::InvalidConfig`] / [`SimError::NoCompletions`] from any
-///   individual (non-injected) run failure.
+///   individual (non-injected, untruncated) run failure.
 /// - [`SimError::Data`] if dataset assembly fails.
 ///
 /// # Examples
 ///
 /// ```
-/// use wlc_sim::{run_design_faulty, FaultProfile, ServerConfig};
+/// use wlc_sim::{run_design_faulty_jobs, FaultProfile, ServerConfig};
 ///
 /// let config = ServerConfig::builder()
 ///     .injection_rate(200.0)
@@ -279,36 +287,11 @@ pub(crate) fn standard_normal(rng: &mut Xoshiro256) -> f64 {
 ///     .build()?;
 /// let profile: FaultProfile = "truncate=1.0,truncate_frac=0.5".parse()?;
 /// let (ds, faults, _report) =
-///     run_design_faulty(&[config], 7, 4.0, 1.0, profile, 2)?;
+///     run_design_faulty_jobs(&[config], 7, 4.0, 1.0, profile, 2, 1)?;
 /// assert_eq!(ds.len(), 1);
 /// assert_eq!(faults.truncations, 1);
 /// # Ok::<(), wlc_sim::SimError>(())
 /// ```
-pub fn run_design_faulty(
-    configs: &[ServerConfig],
-    base_seed: u64,
-    duration_secs: f64,
-    warmup_secs: f64,
-    profile: FaultProfile,
-    max_retries: usize,
-) -> Result<(Dataset, FaultSummary, RunReport), SimError> {
-    run_design_faulty_jobs(
-        configs,
-        base_seed,
-        duration_secs,
-        warmup_secs,
-        profile,
-        max_retries,
-        wlc_exec::default_jobs(),
-    )
-}
-
-/// [`run_design_faulty`] with an explicit worker count (`jobs <= 1` runs
-/// sequentially). Output is bit-identical for every `jobs` value.
-///
-/// # Errors
-///
-/// As for [`run_design_faulty`].
 pub fn run_design_faulty_jobs(
     configs: &[ServerConfig],
     base_seed: u64,
@@ -318,78 +301,170 @@ pub fn run_design_faulty_jobs(
     max_retries: usize,
     jobs: usize,
 ) -> Result<(Dataset, FaultSummary, RunReport), SimError> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    Campaign::new(base_seed, duration_secs, warmup_secs, profile, max_retries)?.run_design(
+        configs,
+        jobs,
+        |_, sim| Ok(sim.run()?.indicators()),
+    )
+}
 
-    profile.validate()?;
-    let root = Seed::new(base_seed);
-    let fault_root = root.derive(FAULT_STREAM);
-    let dropouts = AtomicUsize::new(0);
-    let stalls = AtomicUsize::new(0);
-    let truncations = AtomicUsize::new(0);
-    let spikes = AtomicUsize::new(0);
+/// One collection campaign: the per-attempt fault policy and the tally
+/// of what it injected. Every collection path — the design runners and
+/// [`crate::stream_window`] — measures through [`Campaign::attempt`] and
+/// assembles its rows with [`Campaign::finish`].
+pub(crate) struct Campaign {
+    root: Seed,
+    duration_secs: f64,
+    warmup_secs: f64,
+    profile: FaultProfile,
+    max_retries: usize,
+    dropouts: AtomicUsize,
+    stalls: AtomicUsize,
+    truncations: AtomicUsize,
+    spikes: AtomicUsize,
+}
 
-    let task = |i: usize, attempt: usize| -> Result<Option<Vec<f64>>, SimError> {
-        let mut faults =
-            Xoshiro256::seed_from(fault_root.derive(i as u64).derive(attempt as u64).value());
+impl Campaign {
+    /// Starts a campaign; fails on an invalid `profile`.
+    pub(crate) fn new(
+        base_seed: u64,
+        duration_secs: f64,
+        warmup_secs: f64,
+        profile: FaultProfile,
+        max_retries: usize,
+    ) -> Result<Self, SimError> {
+        profile.validate()?;
+        Ok(Campaign {
+            root: Seed::new(base_seed),
+            duration_secs,
+            warmup_secs,
+            profile,
+            max_retries,
+            dropouts: AtomicUsize::new(0),
+            stalls: AtomicUsize::new(0),
+            truncations: AtomicUsize::new(0),
+            spikes: AtomicUsize::new(0),
+        })
+    }
+
+    /// Measures every configuration on the pool, retrying failed
+    /// attempts, and assembles the dataset. `measure` gets the design
+    /// index and the prepared [`Simulation`] and returns its indicators.
+    pub(crate) fn run_design<F>(
+        self,
+        configs: &[ServerConfig],
+        jobs: usize,
+        measure: F,
+    ) -> Result<(Dataset, FaultSummary, RunReport), SimError>
+    where
+        F: Fn(usize, Simulation) -> Result<Vec<f64>, SimError> + Sync,
+    {
+        let (rows, report) = wlc_exec::try_map_indexed_retry_timed(
+            jobs,
+            configs.len(),
+            self.max_retries,
+            |i, attempt| self.attempt(i as u64, attempt, configs[i], |sim| measure(i, sim)),
+        )?;
+        let (ds, summary) = self.finish(configs, 0, rows)?;
+        Ok((ds, summary, report))
+    }
+
+    /// One attempt at measuring `config` as entry `index` of the
+    /// campaign. Faults are drawn in a fixed order — dropout, stall,
+    /// truncation, then one spike draw per indicator — from an RNG
+    /// seeded by `(index, attempt)`; `measure` runs the simulation,
+    /// seeded by `index` alone. A dropout, a stall, or a truncated run
+    /// that completes nothing fails the attempt: `Err` while retries
+    /// remain, `Ok(None)` (quarantine) on the last one.
+    pub(crate) fn attempt(
+        &self,
+        index: u64,
+        attempt: usize,
+        config: ServerConfig,
+        measure: impl FnOnce(Simulation) -> Result<Vec<f64>, SimError>,
+    ) -> Result<Option<Vec<f64>>, SimError> {
+        let fail = |error| {
+            if attempt < self.max_retries {
+                Err(error)
+            } else {
+                Ok(None)
+            }
+        };
+        let injected = |kind| SimError::InjectedFault {
+            index: index as usize,
+            kind,
+        };
+        let profile = &self.profile;
+        let mut faults = Xoshiro256::seed_from(
+            self.root
+                .derive(FAULT_STREAM)
+                .derive(index)
+                .derive(attempt as u64)
+                .value(),
+        );
         // Hard failures first: the run never produces a measurement.
         if faults.next_f64() < profile.sample_dropout {
-            dropouts.fetch_add(1, Ordering::Relaxed);
-            let kind = FaultKind::SampleDropout;
-            if attempt < max_retries {
-                return Err(SimError::InjectedFault { index: i, kind });
-            }
-            return Ok(None); // retries exhausted: quarantine the row
+            self.dropouts.fetch_add(1, Ordering::Relaxed);
+            return fail(injected(FaultKind::SampleDropout));
         }
         if faults.next_f64() < profile.stall_prob {
-            stalls.fetch_add(1, Ordering::Relaxed);
-            let kind = FaultKind::QueueStall;
-            if attempt < max_retries {
-                return Err(SimError::InjectedFault { index: i, kind });
-            }
-            return Ok(None);
+            self.stalls.fetch_add(1, Ordering::Relaxed);
+            return fail(injected(FaultKind::QueueStall));
         }
         // Degradations: the run completes but the measurement suffers.
-        let mut duration = duration_secs;
-        if faults.next_f64() < profile.truncate_prob {
-            truncations.fetch_add(1, Ordering::Relaxed);
-            duration = warmup_secs + (duration_secs - warmup_secs) * profile.truncate_frac;
+        let truncated = faults.next_f64() < profile.truncate_prob;
+        let mut duration = self.duration_secs;
+        if truncated {
+            self.truncations.fetch_add(1, Ordering::Relaxed);
+            duration =
+                self.warmup_secs + (self.duration_secs - self.warmup_secs) * profile.truncate_frac;
         }
-        let m = Simulation::new(configs[i])
-            .seed(root.derive(i as u64).value())
+        let sim = Simulation::new(config)
+            .seed(self.root.derive(index).value())
             .duration_secs(duration)
-            .warmup_secs(warmup_secs)
-            .run()?;
-        let mut y = m.indicators();
+            .warmup_secs(self.warmup_secs);
+        let mut y = match measure(sim) {
+            Err(SimError::NoCompletions) if truncated => return fail(SimError::NoCompletions),
+            result => result?,
+        };
         for v in &mut y {
             if faults.next_f64() < profile.noise_spike_prob {
-                spikes.fetch_add(1, Ordering::Relaxed);
+                self.spikes.fetch_add(1, Ordering::Relaxed);
                 *v *= 1.0 + profile.noise_spike_scale * standard_normal(&mut faults).abs();
             }
         }
         Ok(Some(y))
-    };
-    let (rows, report) =
-        wlc_exec::try_map_indexed_retry_timed(jobs, configs.len(), max_retries, task)?;
-
-    let mut ds = Dataset::new(
-        INPUT_NAMES.iter().map(|s| s.to_string()).collect(),
-        OUTPUT_NAMES.iter().map(|s| s.to_string()).collect(),
-    )?;
-    let mut quarantined = Vec::new();
-    for (i, (config, row)) in configs.iter().zip(rows).enumerate() {
-        match row {
-            Some(y) => ds.push(Sample::new(config.as_vector(), y))?,
-            None => quarantined.push(i),
-        }
     }
-    let summary = FaultSummary {
-        dropouts: dropouts.into_inner(),
-        stalls: stalls.into_inner(),
-        truncations: truncations.into_inner(),
-        spikes: spikes.into_inner(),
-        quarantined,
-    };
-    Ok((ds, summary, report))
+
+    /// Assembles `configs` and their measured `rows` into a dataset with
+    /// the canonical [`INPUT_NAMES`]/[`OUTPUT_NAMES`] columns; a `None`
+    /// row is quarantined as entry `first + i`.
+    pub(crate) fn finish(
+        self,
+        configs: &[ServerConfig],
+        first: u64,
+        rows: Vec<Option<Vec<f64>>>,
+    ) -> Result<(Dataset, FaultSummary), SimError> {
+        let mut ds = Dataset::new(
+            INPUT_NAMES.iter().map(|s| s.to_string()).collect(),
+            OUTPUT_NAMES.iter().map(|s| s.to_string()).collect(),
+        )?;
+        let mut quarantined = Vec::new();
+        for (i, (config, row)) in configs.iter().zip(rows).enumerate() {
+            match row {
+                Some(y) => ds.push(Sample::new(config.as_vector(), y))?,
+                None => quarantined.push(first as usize + i),
+            }
+        }
+        let summary = FaultSummary {
+            dropouts: self.dropouts.into_inner(),
+            stalls: self.stalls.into_inner(),
+            truncations: self.truncations.into_inner(),
+            spikes: self.spikes.into_inner(),
+            quarantined,
+        };
+        Ok((ds, summary))
+    }
 }
 
 #[cfg(test)]
@@ -460,7 +535,7 @@ mod tests {
         let configs = servers(3);
         let clean = run_design(&configs, 5, 3.0, 0.5).unwrap();
         let (faulty, summary, report) =
-            run_design_faulty(&configs, 5, 3.0, 0.5, FaultProfile::none(), 2).unwrap();
+            run_design_faulty_jobs(&configs, 5, 3.0, 0.5, FaultProfile::none(), 2, 2).unwrap();
         assert_eq!(clean, faulty);
         assert!(summary.is_clean());
         assert!(summary.quarantined.is_empty());
@@ -471,7 +546,8 @@ mod tests {
     fn certain_dropout_quarantines_every_row() {
         let configs = servers(2);
         let profile: FaultProfile = "dropout=1.0".parse().unwrap();
-        let (ds, summary, report) = run_design_faulty(&configs, 1, 3.0, 0.5, profile, 2).unwrap();
+        let (ds, summary, report) =
+            run_design_faulty_jobs(&configs, 1, 3.0, 0.5, profile, 2, 2).unwrap();
         assert!(ds.is_empty());
         assert_eq!(summary.quarantined, vec![0, 1]);
         // Every attempt (initial + 2 retries) on both rows dropped.
@@ -483,7 +559,8 @@ mod tests {
     fn certain_stall_is_counted_separately() {
         let configs = servers(1);
         let profile: FaultProfile = "stall=1.0".parse().unwrap();
-        let (ds, summary, _) = run_design_faulty(&configs, 1, 3.0, 0.5, profile, 0).unwrap();
+        let (ds, summary, _) =
+            run_design_faulty_jobs(&configs, 1, 3.0, 0.5, profile, 0, 2).unwrap();
         assert!(ds.is_empty());
         assert_eq!(summary.stalls, 1);
         assert_eq!(summary.dropouts, 0);
@@ -496,7 +573,8 @@ mod tests {
     fn retries_recover_intermittent_dropouts() {
         let configs = servers(4);
         let profile: FaultProfile = "dropout=0.5".parse().unwrap();
-        let (ds, summary, report) = run_design_faulty(&configs, 42, 3.0, 0.5, profile, 10).unwrap();
+        let (ds, summary, report) =
+            run_design_faulty_jobs(&configs, 42, 3.0, 0.5, profile, 10, 2).unwrap();
         assert_eq!(ds.len(), 4, "quarantined: {:?}", summary.quarantined);
         assert!(summary.dropouts > 0);
         assert_eq!(report.retries, summary.dropouts);
@@ -509,7 +587,8 @@ mod tests {
     fn truncation_degrades_but_keeps_rows() {
         let configs = servers(2);
         let profile: FaultProfile = "truncate=1.0,truncate_frac=0.5".parse().unwrap();
-        let (ds, summary, _) = run_design_faulty(&configs, 9, 4.0, 1.0, profile, 0).unwrap();
+        let (ds, summary, _) =
+            run_design_faulty_jobs(&configs, 9, 4.0, 1.0, profile, 0, 2).unwrap();
         assert_eq!(ds.len(), 2);
         assert_eq!(summary.truncations, 2);
         let clean = run_design(&configs, 9, 4.0, 1.0).unwrap();
@@ -517,10 +596,30 @@ mod tests {
     }
 
     #[test]
+    fn truncation_that_completes_nothing_is_retried_then_quarantined() {
+        // A 2 µs window completes no transaction: each truncated attempt
+        // fails and is retried, and the row is quarantined rather than
+        // aborting the campaign.
+        let configs = servers(2);
+        let profile: FaultProfile = "truncate=1.0,truncate_frac=0.000001".parse().unwrap();
+        let (ds, summary, report) =
+            run_design_faulty_jobs(&configs, 4, 3.0, 1.0, profile, 2, 2).unwrap();
+        assert!(ds.is_empty());
+        assert_eq!(summary.quarantined, vec![0, 1]);
+        assert_eq!(summary.truncations, 6);
+        assert_eq!(report.retries, 4);
+        // The same window without an injected truncation is still an error.
+        let err = run_design_faulty_jobs(&configs, 4, 1.000002, 1.0, FaultProfile::none(), 2, 2)
+            .unwrap_err();
+        assert!(matches!(err, SimError::NoCompletions), "{err}");
+    }
+
+    #[test]
     fn spikes_only_inflate_indicators() {
         let configs = servers(2);
         let profile: FaultProfile = "spike=1.0,spike_scale=2.0".parse().unwrap();
-        let (ds, summary, _) = run_design_faulty(&configs, 9, 3.0, 0.5, profile, 0).unwrap();
+        let (ds, summary, _) =
+            run_design_faulty_jobs(&configs, 9, 3.0, 0.5, profile, 0, 2).unwrap();
         let clean = run_design(&configs, 9, 3.0, 0.5).unwrap();
         assert_eq!(summary.spikes, 2 * OUTPUT_NAMES.len());
         let mut strictly_larger = 0;

@@ -23,6 +23,19 @@
 //! non-linear, reproducing the *parallel slopes*, *valley* and *hill*
 //! surface shapes of the paper's Figures 4, 7 and 8.
 //!
+//! # Entry points
+//!
+//! - [`Simulation`] — one run of one configuration.
+//! - [`run_design`] — a configuration design into a training dataset.
+//! - [`run_design_replicated_timed`] — the same, averaging several seeds
+//!   per configuration (the paper's counter-averaging, §4).
+//! - [`run_design_faulty_jobs`] — the same under injected measurement
+//!   faults, with retries and quarantine.
+//! - [`stream_window`] — a window of the drifting live sample stream.
+//!
+//! All four collectors share one fault step and one dataset assembler,
+//! and each is bit-identical for any worker count.
+//!
 //! # Examples
 //!
 //! ```
@@ -66,10 +79,7 @@ pub use config::{
 pub use des::SimTime;
 pub use drift::{stream_window, DriftKind, DriftProfile, StreamConfig};
 pub use error::SimError;
-pub use fault::{run_design_faulty, run_design_faulty_jobs, FaultKind, FaultProfile, FaultSummary};
+pub use fault::{run_design_faulty_jobs, FaultKind, FaultProfile, FaultSummary};
 pub use metrics::{Measurement, PoolUtilization};
-pub use runner::{
-    run_design, run_design_jobs, run_design_replicated, run_design_replicated_timed,
-    run_design_timed, simulate, Simulation, INPUT_NAMES, OUTPUT_NAMES,
-};
+pub use runner::{run_design, run_design_replicated_timed, Simulation, INPUT_NAMES, OUTPUT_NAMES};
 pub use transaction::{DomainQueue, StageDemands, TransactionClass, TransactionKind};

@@ -2,13 +2,14 @@
 //! runs and [`run_design`] for producing whole training datasets from a
 //! configuration design.
 
-use wlc_data::{Dataset, Sample};
+use wlc_data::Dataset;
 use wlc_exec::RunReport;
 use wlc_math::rng::Seed;
 
 use crate::config::{ArrivalProcess, DbModel, HardwareModel, ServerConfig, WorkloadSpec};
 use crate::des::SimTime;
 use crate::engine::{Engine, EngineConfig};
+use crate::fault::{Campaign, FaultProfile};
 use crate::metrics::Measurement;
 use crate::SimError;
 
@@ -158,25 +159,19 @@ impl Simulation {
     }
 }
 
-/// One-call simulation of a configuration with all defaults.
-///
-/// # Errors
-///
-/// As for [`Simulation::run`].
-pub fn simulate(config: ServerConfig, seed: u64) -> Result<Measurement, SimError> {
-    Simulation::new(config).seed(seed).run()
-}
-
 /// Simulates every configuration in `configs` and collects the results
 /// into a [`Dataset`] with the canonical [`INPUT_NAMES`]/[`OUTPUT_NAMES`]
 /// columns — the "set of training samples collected by running the
 /// identical application under various configurations" of §2.2.
 ///
 /// Each run gets an independent sub-seed derived from `base_seed`, so the
-/// whole dataset is reproducible. Runs execute on a worker pool sized by
-/// [`wlc_exec::default_jobs`]; because every run's seed depends only on
-/// its *index* in `configs`, the dataset is bit-identical for any worker
-/// count — use [`run_design_jobs`] to pin the pool size.
+/// whole dataset is reproducible. This is
+/// [`run_design_faulty_jobs`](crate::run_design_faulty_jobs) with
+/// [`FaultProfile::none`], no retries and [`wlc_exec::default_jobs`]
+/// workers; because every run's seed depends only on its *index* in
+/// `configs`, the dataset is bit-identical for any worker count — call
+/// that function directly to pin the pool size or read its
+/// [`RunReport`].
 ///
 /// # Errors
 ///
@@ -213,72 +208,30 @@ pub fn run_design(
     duration_secs: f64,
     warmup_secs: f64,
 ) -> Result<Dataset, SimError> {
-    run_design_jobs(
+    let (ds, _, _) = crate::run_design_faulty_jobs(
         configs,
         base_seed,
         duration_secs,
         warmup_secs,
+        FaultProfile::none(),
+        0,
         wlc_exec::default_jobs(),
-    )
-}
-
-/// [`run_design`] with an explicit worker count (`jobs <= 1` runs
-/// sequentially). Output is bit-identical for every `jobs` value.
-///
-/// # Errors
-///
-/// As for [`run_design`].
-pub fn run_design_jobs(
-    configs: &[ServerConfig],
-    base_seed: u64,
-    duration_secs: f64,
-    warmup_secs: f64,
-    jobs: usize,
-) -> Result<Dataset, SimError> {
-    run_design_timed(configs, base_seed, duration_secs, warmup_secs, jobs).map(|(ds, _)| ds)
-}
-
-/// [`run_design_jobs`] that also returns the pool's [`RunReport`]
-/// (wall time, per-configuration timings, speedup over serial).
-///
-/// # Errors
-///
-/// As for [`run_design`].
-pub fn run_design_timed(
-    configs: &[ServerConfig],
-    base_seed: u64,
-    duration_secs: f64,
-    warmup_secs: f64,
-    jobs: usize,
-) -> Result<(Dataset, RunReport), SimError> {
-    let root = Seed::new(base_seed);
-    let (rows, report) = wlc_exec::try_map_indexed_timed(jobs, configs.len(), |i| {
-        Simulation::new(configs[i])
-            .seed(root.derive(i as u64).value())
-            .duration_secs(duration_secs)
-            .warmup_secs(warmup_secs)
-            .run()
-            .map(|m| m.indicators())
-    })?;
-    let mut ds = Dataset::new(
-        INPUT_NAMES.iter().map(|s| s.to_string()).collect(),
-        OUTPUT_NAMES.iter().map(|s| s.to_string()).collect(),
     )?;
-    for (config, y) in configs.iter().zip(rows) {
-        ds.push(Sample::new(config.as_vector(), y))?;
-    }
-    Ok((ds, report))
+    Ok(ds)
 }
 
 /// Like [`run_design`], but measures each configuration `replications`
 /// times with independent seeds and records the *mean* indicator vector —
 /// the paper's noise-reduction practice ("the averages of collected
 /// counter values are used to reduce the effect of sampling error", §4).
+/// Runs on `jobs` workers (`jobs <= 1` runs sequentially) and returns the
+/// pool's [`RunReport`] (wall time, per-configuration timings, speedup
+/// over serial) alongside the dataset.
 ///
-/// Replicated runs are parallelized per configuration (replications of
-/// one configuration stay on one worker so the mean accumulates in a
-/// fixed order); seeds depend only on `(index, replication)`, so output
-/// is bit-identical for any worker count.
+/// Replications of one configuration stay on one worker so the mean
+/// accumulates in a fixed order; seeds depend only on
+/// `(index, replication)`, so output is bit-identical for any worker
+/// count.
 ///
 /// # Errors
 ///
@@ -288,7 +241,7 @@ pub fn run_design_timed(
 /// # Examples
 ///
 /// ```
-/// use wlc_sim::{run_design_replicated, ServerConfig};
+/// use wlc_sim::{run_design_replicated_timed, ServerConfig};
 ///
 /// let config = ServerConfig::builder()
 ///     .injection_rate(200.0)
@@ -296,34 +249,11 @@ pub fn run_design_timed(
 ///     .mfg_threads(8)
 ///     .web_threads(8)
 ///     .build()?;
-/// let ds = run_design_replicated(&[config], 1, 3.0, 0.5, 3)?;
+/// let (ds, report) = run_design_replicated_timed(&[config], 1, 3.0, 0.5, 3, 2)?;
 /// assert_eq!(ds.len(), 1);
+/// assert_eq!(report.tasks.len(), 1);
 /// # Ok::<(), wlc_sim::SimError>(())
 /// ```
-pub fn run_design_replicated(
-    configs: &[ServerConfig],
-    base_seed: u64,
-    duration_secs: f64,
-    warmup_secs: f64,
-    replications: u32,
-) -> Result<Dataset, SimError> {
-    run_design_replicated_timed(
-        configs,
-        base_seed,
-        duration_secs,
-        warmup_secs,
-        replications,
-        wlc_exec::default_jobs(),
-    )
-    .map(|(ds, _)| ds)
-}
-
-/// [`run_design_replicated`] with an explicit worker count, returning the
-/// pool's [`RunReport`] alongside the dataset.
-///
-/// # Errors
-///
-/// As for [`run_design_replicated`].
 pub fn run_design_replicated_timed(
     configs: &[ServerConfig],
     base_seed: u64,
@@ -339,15 +269,18 @@ pub fn run_design_replicated_timed(
         });
     }
     let root = Seed::new(base_seed);
-    let task = |i: usize| -> Result<Vec<f64>, SimError> {
+    let campaign = Campaign::new(
+        base_seed,
+        duration_secs,
+        warmup_secs,
+        FaultProfile::none(),
+        0,
+    )?;
+    let (ds, _, report) = campaign.run_design(configs, jobs, |i, sim| {
         let mut mean = vec![0.0; OUTPUT_NAMES.len()];
         for rep in 0..replications {
-            let seed = root.derive(i as u64).derive(rep as u64);
-            let m = Simulation::new(configs[i])
-                .seed(seed.value())
-                .duration_secs(duration_secs)
-                .warmup_secs(warmup_secs)
-                .run()?;
+            let seed = root.derive(i as u64).derive(u64::from(rep));
+            let m = sim.clone().seed(seed.value()).run()?;
             for (acc, v) in mean.iter_mut().zip(m.indicators()) {
                 *acc += v;
             }
@@ -356,15 +289,7 @@ pub fn run_design_replicated_timed(
             *acc /= f64::from(replications);
         }
         Ok(mean)
-    };
-    let (rows, report) = wlc_exec::try_map_indexed_timed(jobs, configs.len(), task)?;
-    let mut ds = Dataset::new(
-        INPUT_NAMES.iter().map(|s| s.to_string()).collect(),
-        OUTPUT_NAMES.iter().map(|s| s.to_string()).collect(),
-    )?;
-    for (config, y) in configs.iter().zip(rows) {
-        ds.push(Sample::new(config.as_vector(), y))?;
-    }
+    })?;
     Ok((ds, report))
 }
 
@@ -412,14 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn simulate_shorthand_matches_builder() {
-        // Same seed, same defaults: identical measurement.
-        let a = simulate(server(120.0), 9).unwrap();
-        let b = Simulation::new(server(120.0)).seed(9).run().unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn run_design_produces_canonical_dataset() {
         let configs = vec![server(100.0), server(200.0), server(300.0)];
         let ds = run_design(&configs, 5, 3.0, 0.5).unwrap();
@@ -450,8 +367,9 @@ mod tests {
         let spread = |reps: u32| {
             let values: Vec<f64> = (0..6)
                 .map(|seed| {
-                    run_design_replicated(&configs, seed, 3.0, 0.5, reps)
+                    run_design_replicated_timed(&configs, seed, 3.0, 0.5, reps, 1)
                         .unwrap()
+                        .0
                         .samples()[0]
                         .y()[0]
                 })
@@ -470,8 +388,8 @@ mod tests {
     #[test]
     fn replicated_design_validates() {
         let configs = vec![server(100.0)];
-        assert!(run_design_replicated(&configs, 1, 3.0, 0.5, 0).is_err());
-        let ds = run_design_replicated(&configs, 1, 3.0, 0.5, 2).unwrap();
+        assert!(run_design_replicated_timed(&configs, 1, 3.0, 0.5, 0, 1).is_err());
+        let (ds, _) = run_design_replicated_timed(&configs, 1, 3.0, 0.5, 2, 1).unwrap();
         assert_eq!(ds.len(), 1);
         assert_eq!(ds.samples()[0].x(), &[100.0, 8.0, 8.0, 8.0]);
     }
@@ -483,5 +401,15 @@ mod tests {
         let configs = vec![server(150.0), server(150.0)];
         let ds = run_design(&configs, 3, 3.0, 0.5).unwrap();
         assert_ne!(ds.samples()[0].y(), ds.samples()[1].y());
+        // Row i is exactly one run seeded by `derive(i)`.
+        for (i, sample) in ds.samples().iter().enumerate() {
+            let m = Simulation::new(configs[i])
+                .seed(Seed::new(3).derive(i as u64).value())
+                .duration_secs(3.0)
+                .warmup_secs(0.5)
+                .run()
+                .unwrap();
+            assert_eq!(sample.y(), m.indicators());
+        }
     }
 }

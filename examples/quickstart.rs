@@ -6,7 +6,7 @@
 
 use wlc::data::Dataset;
 use wlc::model::{PerformanceModel, WorkloadModelBuilder};
-use wlc::sim::{run_design, simulate, ServerConfig};
+use wlc::sim::{run_design, ServerConfig, Simulation};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Collect training samples: a small grid of configurations, each
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .web_threads(11)
         .build()?;
     let predicted = outcome.model.predict(&unseen.as_vector())?;
-    let actual = simulate(unseen, 99)?;
+    let actual = Simulation::new(unseen).seed(99).run()?;
 
     println!("\nunseen configuration {:?}:", unseen.as_vector());
     println!(

@@ -8,7 +8,7 @@
 use wlc::data::design::{latin_hypercube, round_to_integers, ParamRange};
 use wlc::math::rng::Seed;
 use wlc::model::{ScoringFunction, TuningAdvisor, WorkloadModelBuilder};
-use wlc::sim::{run_design, simulate, ServerConfig};
+use wlc::sim::{run_design, ServerConfig, Simulation};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Train on a space-filling sample of the configuration space.
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Verify the recommendation against the simulator.
     let best = ServerConfig::from_vector(&rec.configuration)?;
-    let measured = simulate(best, 1234)?;
+    let measured = Simulation::new(best).seed(1234).run()?;
     println!(
         "simulator check at the recommendation: throughput {:.0}/s effective",
         measured.throughput()
