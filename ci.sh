@@ -90,7 +90,10 @@ if [ "${1:-}" != "quick" ]; then
     # Train the same model at three band-thread counts and sweep a
     # surface at three --jobs values: every artifact must be
     # byte-identical — the determinism contract's end-to-end check.
-    ./target/release/wlc collect --samples 48 --out "$smoke_dir/det.csv" \
+    # 520 rows and a 23x23 grid are 9 bands each, enough for the band
+    # engine to leave its in-line path at --jobs 2 (>= 4 bands) and
+    # --jobs 4 (>= 8 bands).
+    ./target/release/wlc collect --samples 520 --out "$smoke_dir/det.csv" \
         --duration 3 --warmup 1 --seed 21
     for j in 1 2 4; do
         ./target/release/wlc train --data "$smoke_dir/det.csv" \
@@ -103,7 +106,7 @@ if [ "${1:-}" != "quick" ]; then
         || { echo "train --jobs 4 diverged from --jobs 1"; exit 1; }
     for j in 1 2 4; do
         ./target/release/wlc surface --model "$smoke_dir/det-j1.txt" \
-            --base 450,10,16,10 --steps 9 --jobs "$j" \
+            --base 450,10,16,10 --steps 23 --jobs "$j" \
             > "$smoke_dir/det-surface-j$j.out" 2>/dev/null
     done
     cmp "$smoke_dir/det-surface-j1.out" "$smoke_dir/det-surface-j2.out" \

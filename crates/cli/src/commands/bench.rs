@@ -31,7 +31,7 @@ use wlc_math::rng::Xoshiro256;
 use wlc_math::Matrix;
 use wlc_model::fallback::FallbackModel;
 use wlc_model::WorkloadModelBuilder;
-use wlc_nn::{Activation, BandEngine, Loss, Mlp, MlpBuilder, NnError, Workspace, BAND_ROWS};
+use wlc_nn::{Activation, BandEngine, Mlp, MlpBuilder, NnError, Workspace, BAND_ROWS};
 use wlc_serve::{ClientConfig, Json, ServeClient, ServeConfig, Server};
 
 use crate::args::Flags;
@@ -80,7 +80,7 @@ bought on this machine.";
 /// the *baseline* and silently understate what the refactor bought, so
 /// the legacy arm never touches them.
 mod legacy {
-    use super::{Loss, Matrix, Mlp, NnError};
+    use super::{Matrix, Mlp, NnError};
     use wlc_nn::DenseLayer;
 
     /// The pre-refactor per-sample pre-activation: one flat
@@ -104,6 +104,19 @@ mod legacy {
         Ok(current)
     }
 
+    /// Mean squared error of one row, as the pre-refactor loss computed it.
+    fn mse(prediction: &[f64], target: &[f64]) -> f64 {
+        let total: f64 = prediction
+            .iter()
+            .zip(target)
+            .map(|(&p, &t)| {
+                let d = p - t;
+                d * d
+            })
+            .sum();
+        total / prediction.len() as f64
+    }
+
     #[allow(clippy::type_complexity)]
     fn forward_trace(mlp: &Mlp, input: &[f64]) -> Result<(Vec<Vec<f64>>, Vec<Vec<f64>>), NnError> {
         let mut pre = Vec::with_capacity(mlp.layers().len());
@@ -123,15 +136,19 @@ mod legacy {
         mlp: &Mlp,
         input: &[f64],
         target: &[f64],
-        loss: Loss,
         grad: &mut [f64],
     ) -> Result<f64, NnError> {
         let layers = mlp.layers();
         let (pre, acts) = forward_trace(mlp, input)?;
         let prediction = acts.last().expect("non-empty");
-        let loss_value = loss.value(prediction, target)?;
+        let loss_value = mse(prediction, target);
 
-        let dl_da = loss.gradient(prediction, target)?;
+        let n = prediction.len() as f64;
+        let dl_da: Vec<f64> = prediction
+            .iter()
+            .zip(target)
+            .map(|(&p, &t)| 2.0 * (p - t) / n)
+            .collect();
         let last = layers.len() - 1;
         let mut delta: Vec<f64> = dl_da
             .iter()
@@ -186,13 +203,12 @@ mod legacy {
         mlp: &Mlp,
         inputs: &Matrix,
         targets: &Matrix,
-        loss: Loss,
     ) -> Result<(f64, Vec<f64>), NnError> {
         let mut grad = vec![0.0; mlp.param_count()];
         let mut total_loss = 0.0;
         for r in 0..inputs.rows() {
             total_loss +=
-                accumulate_sample_gradient(mlp, inputs.row(r), targets.row(r), loss, &mut grad)?;
+                accumulate_sample_gradient(mlp, inputs.row(r), targets.row(r), &mut grad)?;
         }
         let scale = 1.0 / inputs.rows() as f64;
         for g in &mut grad {
@@ -201,11 +217,11 @@ mod legacy {
         Ok((total_loss * scale, grad))
     }
 
-    pub fn evaluate_loss(mlp: &Mlp, xs: &Matrix, ys: &Matrix, loss: Loss) -> Result<f64, NnError> {
+    pub fn evaluate_loss(mlp: &Mlp, xs: &Matrix, ys: &Matrix) -> Result<f64, NnError> {
         let mut total = 0.0;
         for r in 0..xs.rows() {
             let pred = forward(mlp, xs.row(r))?;
-            total += loss.value(&pred, ys.row(r))?;
+            total += mse(&pred, ys.row(r));
         }
         Ok(total / xs.rows() as f64)
     }
@@ -326,13 +342,13 @@ fn legacy_epoch(setup: &BenchSetup, mlp: &mut Mlp, params: &mut [f64]) -> f64 {
             bx.row_mut(out_r).copy_from_slice(setup.xs.row(r));
             by.row_mut(out_r).copy_from_slice(setup.ys.row(r));
         }
-        let (_, grads) = legacy::batch_gradient(mlp, &bx, &by, Loss::MeanSquared).expect("shapes");
+        let (_, grads) = legacy::batch_gradient(mlp, &bx, &by).expect("shapes");
         for (p, g) in params.iter_mut().zip(&grads) {
             *p -= setup.lr * g;
         }
     }
     mlp.set_params_flat(params).expect("param width");
-    legacy::evaluate_loss(mlp, &setup.xs, &setup.ys, Loss::MeanSquared).expect("shapes")
+    legacy::evaluate_loss(mlp, &setup.xs, &setup.ys).expect("shapes")
 }
 
 struct BatchedScratch {
@@ -360,13 +376,7 @@ fn batched_epoch(
         }
         scratch
             .engine
-            .batch_gradient(
-                mlp,
-                &scratch.bx,
-                &scratch.by,
-                Loss::MeanSquared,
-                &mut scratch.ws,
-            )
+            .batch_gradient(mlp, &scratch.bx, &scratch.by, &mut scratch.ws)
             .expect("shapes");
         for (p, g) in params.iter_mut().zip(scratch.ws.grad()) {
             *p -= setup.lr * g;
@@ -375,13 +385,7 @@ fn batched_epoch(
     mlp.set_params_flat(params).expect("param width");
     scratch
         .engine
-        .batch_loss(
-            mlp,
-            &setup.xs,
-            &setup.ys,
-            Loss::MeanSquared,
-            &mut scratch.ws,
-        )
+        .batch_loss(mlp, &setup.xs, &setup.ys, &mut scratch.ws)
         .expect("shapes")
 }
 

@@ -106,9 +106,9 @@ impl ResponseSurface {
 
     /// Evaluates the surface through a model, one grid row at a time.
     ///
-    /// For a `Sync` model (every model in this crate is), prefer
-    /// [`evaluate_jobs`](Self::evaluate_jobs) which fans the rows out
-    /// over a worker pool; the result is identical.
+    /// For a [`WorkloadModel`], [`evaluate_banded`](Self::evaluate_banded)
+    /// predicts the whole grid as one batch on a band-pool team; the
+    /// result is identical.
     ///
     /// # Errors
     ///
@@ -117,34 +117,8 @@ impl ResponseSurface {
     pub fn evaluate(&self, model: &dyn PerformanceModel) -> Result<SurfaceGrid, ModelError> {
         self.check(model)?;
         let mut z = Matrix::zeros(self.axis1_values.len(), self.axis2_values.len());
-        for (i, row) in self.rows(model).enumerate() {
-            for (j, v) in row?.into_iter().enumerate() {
-                z.set(i, j, v);
-            }
-        }
-        Ok(self.grid_from(z))
-    }
-
-    /// [`evaluate`](Self::evaluate) with the grid rows fanned out over
-    /// `jobs` workers (`jobs <= 1` runs sequentially). Each row depends
-    /// only on its axis value, so the grid is identical for any worker
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// As for [`evaluate`](Self::evaluate).
-    pub fn evaluate_jobs(
-        &self,
-        model: &(dyn PerformanceModel + Sync),
-        jobs: usize,
-    ) -> Result<SurfaceGrid, ModelError> {
-        self.check(model)?;
-        let rows = wlc_exec::try_map_indexed(jobs, self.axis1_values.len(), |i| {
-            self.row(model, self.axis1_values[i])
-        })?;
-        let mut z = Matrix::zeros(self.axis1_values.len(), self.axis2_values.len());
-        for (i, row) in rows.into_iter().enumerate() {
-            for (j, v) in row.into_iter().enumerate() {
+        for (i, &a) in self.axis1_values.iter().enumerate() {
+            for (j, v) in self.row(model, a)?.into_iter().enumerate() {
                 z.set(i, j, v);
             }
         }
@@ -193,13 +167,7 @@ impl ResponseSurface {
     }
 
     fn check(&self, model: &dyn PerformanceModel) -> Result<(), ModelError> {
-        if self.base.len() != model.inputs() {
-            return Err(ModelError::WidthMismatch {
-                expected: model.inputs(),
-                actual: self.base.len(),
-                what: "base configuration",
-            });
-        }
+        check_base(self, model)?;
         if self.output >= model.outputs() {
             return Err(ModelError::InvalidParameter {
                 name: "output",
@@ -220,13 +188,6 @@ impl ResponseSurface {
                 Ok(model.predict(&config)?[self.output])
             })
             .collect()
-    }
-
-    fn rows<'a>(
-        &'a self,
-        model: &'a dyn PerformanceModel,
-    ) -> impl Iterator<Item = Result<Vec<f64>, ModelError>> + 'a {
-        self.axis1_values.iter().map(move |&a| self.row(model, a))
     }
 
     fn grid_from(&self, z: Matrix) -> SurfaceGrid {
@@ -257,30 +218,24 @@ pub fn evaluate_all(
     model: &dyn PerformanceModel,
 ) -> Result<Vec<SurfaceGrid>, ModelError> {
     check_base(spec, model)?;
-    let rows: Result<Vec<Vec<Vec<f64>>>, ModelError> = spec
-        .axis1_values
-        .iter()
-        .map(|&a| all_outputs_row(spec, model, a))
+    let (n1, n2) = (spec.axis1_values.len(), spec.axis2_values.len());
+    let mut grids: Vec<Matrix> = (0..model.outputs())
+        .map(|_| Matrix::zeros(n1, n2))
         .collect();
-    assemble_all(spec, model.outputs(), rows?)
-}
-
-/// [`evaluate_all`] with the grid rows fanned out over `jobs` workers
-/// (`jobs <= 1` runs sequentially); identical grids for any worker count.
-///
-/// # Errors
-///
-/// As for [`ResponseSurface::evaluate`].
-pub fn evaluate_all_jobs(
-    spec: &ResponseSurface,
-    model: &(dyn PerformanceModel + Sync),
-    jobs: usize,
-) -> Result<Vec<SurfaceGrid>, ModelError> {
-    check_base(spec, model)?;
-    let rows = wlc_exec::try_map_indexed(jobs, spec.axis1_values.len(), |i| {
-        all_outputs_row(spec, model, spec.axis1_values[i])
-    })?;
-    assemble_all(spec, model.outputs(), rows)
+    let mut config = spec.base.clone();
+    for (i, &a) in spec.axis1_values.iter().enumerate() {
+        config[spec.axis1] = a;
+        for (j, &b) in spec.axis2_values.iter().enumerate() {
+            config[spec.axis2] = b;
+            for (grid, &v) in grids.iter_mut().zip(&model.predict(&config)?) {
+                grid.set(i, j, v);
+            }
+        }
+    }
+    grids
+        .into_iter()
+        .map(|z| SurfaceGrid::from_parts(spec.axis1_values.clone(), spec.axis2_values.clone(), z))
+        .collect()
 }
 
 /// Errors unless the spec's base configuration has the model's input
@@ -294,47 +249,6 @@ fn check_base(spec: &ResponseSurface, model: &dyn PerformanceModel) -> Result<()
         });
     }
     Ok(())
-}
-
-/// Predicts one grid row for every model output: `row[j][o]` is output
-/// `o` at `(a, axis2_values[j])`.
-fn all_outputs_row(
-    spec: &ResponseSurface,
-    model: &dyn PerformanceModel,
-    a: f64,
-) -> Result<Vec<Vec<f64>>, ModelError> {
-    let mut config = spec.base.clone();
-    config[spec.axis1] = a;
-    spec.axis2_values
-        .iter()
-        .map(|&b| {
-            config[spec.axis2] = b;
-            model.predict(&config)
-        })
-        .collect()
-}
-
-fn assemble_all(
-    spec: &ResponseSurface,
-    outputs: usize,
-    rows: Vec<Vec<Vec<f64>>>,
-) -> Result<Vec<SurfaceGrid>, ModelError> {
-    let n_rows = spec.axis1_values.len();
-    let n_cols = spec.axis2_values.len();
-    let mut grids: Vec<Matrix> = (0..outputs)
-        .map(|_| Matrix::zeros(n_rows, n_cols))
-        .collect();
-    for (i, row) in rows.into_iter().enumerate() {
-        for (j, y) in row.into_iter().enumerate() {
-            for (grid, &v) in grids.iter_mut().zip(y.iter()) {
-                grid.set(i, j, v);
-            }
-        }
-    }
-    grids
-        .into_iter()
-        .map(|z| SurfaceGrid::from_parts(spec.axis1_values.clone(), spec.axis2_values.clone(), z))
-        .collect()
 }
 
 /// An evaluated response surface: `z[i][j]` is the predicted indicator at

@@ -41,7 +41,7 @@ use wlc_exec::{band_count, BandPool, TrackedMutex};
 use wlc_math::Matrix;
 
 use crate::workspace::BandGrads;
-use crate::{Loss, Mlp, NnError, Workspace, BAND_ROWS};
+use crate::{Mlp, NnError, Workspace, BAND_ROWS};
 
 /// A persistent worker team plus per-worker scratch for running the
 /// batched forward/loss/gradient entry points over row bands. See the
@@ -51,7 +51,7 @@ use crate::{Loss, Mlp, NnError, Workspace, BAND_ROWS};
 ///
 /// ```
 /// use wlc_math::Matrix;
-/// use wlc_nn::{Activation, BandEngine, Loss, MlpBuilder, Workspace};
+/// use wlc_nn::{Activation, BandEngine, MlpBuilder, Workspace};
 ///
 /// let mlp = MlpBuilder::new(2)
 ///     .hidden(4, Activation::tanh())
@@ -63,7 +63,7 @@ use crate::{Loss, Mlp, NnError, Workspace, BAND_ROWS};
 /// let xs = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
 /// let ys = Matrix::from_rows(&[&[1.0], &[1.0]]).unwrap();
 /// // Bitwise identical to mlp.batch_gradient_with(..) for any jobs.
-/// let loss = engine.batch_gradient(&mlp, &xs, &ys, Loss::MeanSquared, &mut ws)?;
+/// let loss = engine.batch_gradient(&mlp, &xs, &ys, &mut ws)?;
 /// assert!(loss.is_finite());
 /// # Ok::<(), wlc_nn::NnError>(())
 /// ```
@@ -189,23 +189,13 @@ impl BandEngine {
         mlp: &Mlp,
         xs: &Matrix,
         ys: &Matrix,
-        loss: Loss,
         ws: &mut Workspace,
     ) -> Result<f64, NnError> {
         if !self.pooled(xs.rows()) {
-            return mlp.batch_loss_with(xs, ys, loss, ws);
+            return mlp.batch_loss_with(xs, ys, ws);
         }
-        if xs.rows() == 0 {
-            return Err(NnError::EmptyTrainingSet);
-        }
+        mlp.check_batch_shapes(xs, ys)?;
         ws.check(mlp)?;
-        if xs.cols() != mlp.inputs() {
-            return Err(NnError::ShapeMismatch {
-                expected: mlp.inputs(),
-                actual: xs.cols(),
-                what: "input width",
-            });
-        }
         let rows = xs.rows();
         let n_bands = band_count(rows, BAND_ROWS);
         let shared_mlp = Arc::new(mlp.clone());
@@ -216,7 +206,7 @@ impl BandEngine {
             let r0 = b * BAND_ROWS;
             let r1 = (r0 + BAND_ROWS).min(shared_xs.rows());
             let mut band_ws = BandEngine::checkout(&scratch, &shared_mlp);
-            let sum = shared_mlp.band_loss_sum(&shared_xs, &shared_ys, loss, r0, r1, &mut band_ws);
+            let sum = shared_mlp.band_loss_sum(&shared_xs, &shared_ys, r0, r1, &mut band_ws);
             scratch.lock().push(band_ws);
             sum
         });
@@ -240,11 +230,10 @@ impl BandEngine {
         mlp: &Mlp,
         inputs: &Matrix,
         targets: &Matrix,
-        loss: Loss,
         ws: &mut Workspace,
     ) -> Result<f64, NnError> {
         if !self.pooled(inputs.rows()) {
-            return mlp.batch_gradient_with(inputs, targets, loss, ws);
+            return mlp.batch_gradient_with(inputs, targets, ws);
         }
         mlp.check_batch_shapes(inputs, targets)?;
         ws.check(mlp)?;
@@ -258,8 +247,7 @@ impl BandEngine {
             let b0 = b * BAND_ROWS;
             let b1 = (b0 + BAND_ROWS).min(shared_xs.rows());
             let mut band_ws = BandEngine::checkout(&scratch, &shared_mlp);
-            let grads =
-                shared_mlp.band_grads_owned(&shared_xs, &shared_ys, loss, b0, b1, &mut band_ws);
+            let grads = shared_mlp.band_grads_owned(&shared_xs, &shared_ys, b0, b1, &mut band_ws);
             scratch.lock().push(band_ws);
             grads
         });
@@ -302,16 +290,12 @@ mod tests {
         let xs = batch(ROWS, 4, 1);
         let ys = batch(ROWS, 5, 2);
         let mut ws_ref = Workspace::for_mlp(&mlp);
-        let loss_ref = mlp
-            .batch_gradient_with(&xs, &ys, Loss::MeanSquared, &mut ws_ref)
-            .unwrap();
+        let loss_ref = mlp.batch_gradient_with(&xs, &ys, &mut ws_ref).unwrap();
         for jobs in [2, 4, 7] {
             // Threshold 2 forces the pool path.
             let mut engine = BandEngine::with_dispatch_threshold(jobs, 2);
             let mut ws = Workspace::for_mlp(&mlp);
-            let loss = engine
-                .batch_gradient(&mlp, &xs, &ys, Loss::MeanSquared, &mut ws)
-                .unwrap();
+            let loss = engine.batch_gradient(&mlp, &xs, &ys, &mut ws).unwrap();
             assert_eq!(loss.to_bits(), loss_ref.to_bits(), "jobs={jobs}");
             assert_eq!(ws.grad(), ws_ref.grad(), "jobs={jobs}");
         }
@@ -337,14 +321,10 @@ mod tests {
         let xs = batch(ROWS, 4, 4);
         let ys = batch(ROWS, 5, 5);
         let mut ws = Workspace::for_mlp(&mlp);
-        let loss_ref = mlp
-            .batch_loss_with(&xs, &ys, Loss::MeanSquared, &mut ws)
-            .unwrap();
+        let loss_ref = mlp.batch_loss_with(&xs, &ys, &mut ws).unwrap();
         for jobs in [2, 4, 7] {
             let mut engine = BandEngine::with_dispatch_threshold(jobs, 2);
-            let loss = engine
-                .batch_loss(&mlp, &xs, &ys, Loss::MeanSquared, &mut ws)
-                .unwrap();
+            let loss = engine.batch_loss(&mlp, &xs, &ys, &mut ws).unwrap();
             assert_eq!(loss.to_bits(), loss_ref.to_bits(), "jobs={jobs}");
         }
     }
@@ -376,12 +356,8 @@ mod tests {
         // And the engine still works afterwards.
         let xs = batch(ROWS, 4, 8);
         let ys = batch(ROWS, 5, 9);
-        let a = engine
-            .batch_gradient(&mlp, &xs, &ys, Loss::MeanSquared, &mut ws)
-            .unwrap();
-        let b = engine
-            .batch_gradient(&mlp, &xs, &ys, Loss::MeanSquared, &mut ws)
-            .unwrap();
+        let a = engine.batch_gradient(&mlp, &xs, &ys, &mut ws).unwrap();
+        let b = engine.batch_gradient(&mlp, &xs, &ys, &mut ws).unwrap();
         assert_eq!(a.to_bits(), b.to_bits());
     }
 }

@@ -8,7 +8,7 @@
 
 use wlc_math::Matrix;
 
-use crate::{Loss, Mlp, NnError, Workspace};
+use crate::{Mlp, NnError, Workspace};
 
 /// Result of a gradient check.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,7 +41,7 @@ impl GradCheckReport {
 ///
 /// ```
 /// use wlc_math::Matrix;
-/// use wlc_nn::{gradcheck, Activation, Loss, MlpBuilder};
+/// use wlc_nn::{gradcheck, Activation, MlpBuilder};
 ///
 /// let mlp = MlpBuilder::new(2)
 ///     .hidden(4, Activation::logistic())
@@ -50,19 +50,13 @@ impl GradCheckReport {
 ///     .build()?;
 /// let xs = Matrix::from_rows(&[&[0.3, -0.2], &[0.9, 0.5]]).unwrap();
 /// let ys = Matrix::from_rows(&[&[0.1], &[0.7]]).unwrap();
-/// let report = gradcheck::check(&mlp, &xs, &ys, Loss::MeanSquared, 1e-5)?;
+/// let report = gradcheck::check(&mlp, &xs, &ys, 1e-5)?;
 /// assert!(report.passes(1e-6));
 /// # Ok::<(), wlc_nn::NnError>(())
 /// ```
-pub fn check(
-    mlp: &Mlp,
-    xs: &Matrix,
-    ys: &Matrix,
-    loss: Loss,
-    step: f64,
-) -> Result<GradCheckReport, NnError> {
+pub fn check(mlp: &Mlp, xs: &Matrix, ys: &Matrix, step: f64) -> Result<GradCheckReport, NnError> {
     let mut ws = Workspace::for_mlp(mlp);
-    mlp.batch_gradient_scalar_with(xs, ys, loss, &mut ws)?;
+    mlp.batch_gradient_scalar_with(xs, ys, &mut ws)?;
     let analytic = ws.grad().to_vec();
     let params = mlp.params_flat();
     let mut probe = mlp.clone();
@@ -74,12 +68,12 @@ pub fn check(
         let mut plus = params.clone();
         plus[i] += step;
         probe.set_params_flat(&plus)?;
-        let loss_plus = probe.batch_loss_with(xs, ys, loss, &mut ws)?;
+        let loss_plus = probe.batch_loss_with(xs, ys, &mut ws)?;
 
         let mut minus = params.clone();
         minus[i] -= step;
         probe.set_params_flat(&minus)?;
-        let loss_minus = probe.batch_loss_with(xs, ys, loss, &mut ws)?;
+        let loss_minus = probe.batch_loss_with(xs, ys, &mut ws)?;
 
         let numeric = (loss_plus - loss_minus) / (2.0 * step);
         let abs_diff = (analytic[i] - numeric).abs();
@@ -119,7 +113,7 @@ mod tests {
             .build()
             .unwrap();
         let (xs, ys) = data(3, 2, 5);
-        let report = check(&mlp, &xs, &ys, Loss::MeanSquared, 1e-5).unwrap();
+        let report = check(&mlp, &xs, &ys, 1e-5).unwrap();
         assert!(report.passes(1e-6), "{report:?}");
     }
 
@@ -134,7 +128,7 @@ mod tests {
             .build()
             .unwrap();
         let (xs, ys) = data(4, 5, 8);
-        let report = check(&mlp, &xs, &ys, Loss::MeanSquared, 1e-5).unwrap();
+        let report = check(&mlp, &xs, &ys, 1e-5).unwrap();
         assert!(report.passes(1e-6), "{report:?}");
     }
 
@@ -147,7 +141,7 @@ mod tests {
             .build()
             .unwrap();
         let (xs, ys) = data(2, 1, 6);
-        let report = check(&mlp, &xs, &ys, Loss::MeanSquared, 1e-5).unwrap();
+        let report = check(&mlp, &xs, &ys, 1e-5).unwrap();
         assert!(report.passes(1e-6), "{report:?}");
     }
 
@@ -161,21 +155,8 @@ mod tests {
             .build()
             .unwrap();
         let (xs, ys) = data(3, 2, 6);
-        let report = check(&mlp, &xs, &ys, Loss::MeanSquared, 1e-5).unwrap();
+        let report = check(&mlp, &xs, &ys, 1e-5).unwrap();
         assert!(report.passes(1e-6), "{report:?}");
-    }
-
-    #[test]
-    fn gradients_correct_huber_loss() {
-        let mlp = MlpBuilder::new(2)
-            .hidden(4, Activation::Tanh)
-            .output(1, Activation::identity())
-            .seed(5)
-            .build()
-            .unwrap();
-        let (xs, ys) = data(2, 1, 6);
-        let report = check(&mlp, &xs, &ys, Loss::huber(0.4).unwrap(), 1e-5).unwrap();
-        assert!(report.passes(1e-5), "{report:?}");
     }
 
     #[test]
@@ -188,7 +169,7 @@ mod tests {
             .build()
             .unwrap();
         let (xs, ys) = data(2, 2, 5);
-        let report = check(&mlp, &xs, &ys, Loss::MeanSquared, 1e-5).unwrap();
+        let report = check(&mlp, &xs, &ys, 1e-5).unwrap();
         assert!(report.passes(1e-6), "{report:?}");
     }
 }

@@ -6,12 +6,11 @@
 //! - [`Activation`] — the slope-parameterized logistic function of the
 //!   paper's Figure 2 plus the usual alternatives.
 //! - [`Mlp`] / [`MlpBuilder`] — dense feed-forward networks with
-//!   back-propagation ([`Mlp::batch_gradient_with`]); [`Mlp::forward`]
-//!   is the single-row path.
-//! - [`Loss`] — mean-squared error (what the trainer minimizes) and the
-//!   robust alternatives the batched kernels also accept.
+//!   back-propagation ([`Mlp::batch_gradient_with`]) of the paper's one
+//!   loss, the mean-squared error ‖Ŷ − Y‖ (§2.2); [`Mlp::forward`] is
+//!   the single-row path.
 //! - [`optimizer`] — plain gradient descent (the paper's method) plus
-//!   momentum, RMSProp and Adam.
+//!   momentum and Adam.
 //! - [`Trainer`] — the paper's one training recipe: gradient descent on
 //!   mean-squared error, full batch or shuffled mini-batches, stopped by
 //!   the *termination threshold* (deliberate loose fitting, §3.3), with
@@ -79,7 +78,6 @@ pub use error::NnError;
 pub use init::Initializer;
 pub use layer::DenseLayer;
 pub use lognet::LogarithmicNetwork;
-pub use loss::Loss;
 pub use mlp::{Mlp, MlpBuilder};
 pub use optimizer::{Optimizer, OptimizerKind};
 pub use rbf::RbfNetwork;

@@ -362,7 +362,7 @@ impl MlpBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Loss, Workspace};
+    use crate::{BandEngine, Workspace};
 
     fn tiny_mlp() -> Mlp {
         MlpBuilder::new(2)
@@ -488,16 +488,41 @@ mod tests {
         let bad_rows = Matrix::zeros(3, 2);
         let bad_cols = Matrix::zeros(2, 5);
         let empty = Matrix::zeros(0, 2);
-        assert!(mlp
-            .batch_gradient_with(&xs, &bad_rows, Loss::MeanSquared, &mut ws)
-            .is_err());
-        assert!(mlp
-            .batch_gradient_with(&xs, &bad_cols, Loss::MeanSquared, &mut ws)
-            .is_err());
+        assert!(mlp.batch_gradient_with(&xs, &bad_rows, &mut ws).is_err());
+        assert!(mlp.batch_gradient_with(&xs, &bad_cols, &mut ws).is_err());
         assert!(matches!(
-            mlp.batch_gradient_with(&empty, &empty, Loss::MeanSquared, &mut ws),
+            mlp.batch_gradient_with(&empty, &empty, &mut ws),
             Err(NnError::EmptyTrainingSet)
         ));
+
+        // The loss validates exactly like the gradient, in-line and on
+        // the band pool: extra target rows are an error, not ignored.
+        let mismatch = |r: Result<f64, NnError>| match r {
+            Err(NnError::ShapeMismatch { what, .. }) => what,
+            other => panic!("expected a shape mismatch, got {other:?}"),
+        };
+        let xs = Matrix::zeros(10, 2);
+        assert_eq!(
+            mismatch(mlp.batch_loss_with(&xs, &Matrix::zeros(12, 2), &mut ws)),
+            "target row count"
+        );
+        assert_eq!(
+            mismatch(mlp.batch_loss_with(&xs, &Matrix::zeros(10, 3), &mut ws)),
+            "target width"
+        );
+        // 200 rows are four bands: threshold 2 forces the pool path.
+        let mut engine = BandEngine::with_dispatch_threshold(2, 2);
+        let xs = Matrix::zeros(200, 2);
+        for (ys, what) in [
+            (Matrix::zeros(230, 2), "target row count"),
+            (Matrix::zeros(200, 3), "target width"),
+        ] {
+            assert_eq!(mismatch(engine.batch_loss(&mlp, &xs, &ys, &mut ws)), what);
+            assert_eq!(
+                mismatch(engine.batch_gradient(&mlp, &xs, &ys, &mut ws)),
+                what
+            );
+        }
     }
 
     #[test]
@@ -506,18 +531,13 @@ mod tests {
         let mut ws = Workspace::for_mlp(&mlp);
         let xs = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]).unwrap();
         let ys = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0], &[1.0, 0.0], &[0.0, 1.0]]).unwrap();
-        let initial = mlp
-            .batch_loss_with(&xs, &ys, Loss::MeanSquared, &mut ws)
-            .unwrap();
+        let initial = mlp.batch_loss_with(&xs, &ys, &mut ws).unwrap();
         for _ in 0..200 {
-            mlp.batch_gradient_with(&xs, &ys, Loss::MeanSquared, &mut ws)
-                .unwrap();
+            mlp.batch_gradient_with(&xs, &ys, &mut ws).unwrap();
             let update: Vec<f64> = ws.grad().iter().map(|g| -0.5 * g).collect();
             mlp.apply_update(&update).unwrap();
         }
-        let after = mlp
-            .batch_loss_with(&xs, &ys, Loss::MeanSquared, &mut ws)
-            .unwrap();
+        let after = mlp.batch_loss_with(&xs, &ys, &mut ws).unwrap();
         assert!(
             after < initial * 0.5,
             "loss did not drop: {initial} -> {after}"

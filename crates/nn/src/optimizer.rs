@@ -1,8 +1,8 @@
 //! Parameter-update rules for gradient-based training.
 //!
 //! The paper trains with plain gradient-descent back-propagation (§2.2);
-//! that is [`OptimizerKind::Sgd`]. Momentum, RMSProp and Adam are provided
-//! for the ablation benchmarks that examine how much the training method
+//! that is [`OptimizerKind::Sgd`]. Momentum and Adam are provided for
+//! the ablation benchmarks that examine how much the training method
 //! matters for the workload-model use case.
 
 use crate::NnError;
@@ -35,14 +35,6 @@ pub enum OptimizerKind {
     Momentum {
         /// Momentum coefficient, typically 0.9.
         beta: f64,
-    },
-    /// RMSProp: per-parameter learning-rate scaling by a running RMS of
-    /// gradients.
-    RmsProp {
-        /// Decay rate of the running mean square, typically 0.9.
-        decay: f64,
-        /// Numerical-stability constant.
-        epsilon: f64,
     },
     /// Adam: momentum + RMS scaling with bias correction.
     Adam {
@@ -99,16 +91,6 @@ impl OptimizerKind {
         match *self {
             OptimizerKind::Sgd => Ok(()),
             OptimizerKind::Momentum { beta } => check_unit(beta, "beta"),
-            OptimizerKind::RmsProp { decay, epsilon } => {
-                check_unit(decay, "decay")?;
-                if !(epsilon.is_finite() && epsilon > 0.0) {
-                    return Err(NnError::InvalidHyperParameter {
-                        name: "epsilon",
-                        reason: "must be positive",
-                    });
-                }
-                Ok(())
-            }
             OptimizerKind::Adam {
                 beta1,
                 beta2,
@@ -220,12 +202,6 @@ impl Optimizer {
                     *p -= lr * *v;
                 }
             }
-            OptimizerKind::RmsProp { decay, epsilon } => {
-                for ((p, &g), s) in params.iter_mut().zip(grads).zip(&mut self.second_moment) {
-                    *s = decay * *s + (1.0 - decay) * g * g;
-                    *p -= lr * g / (s.sqrt() + epsilon);
-                }
-            }
             OptimizerKind::Adam {
                 beta1,
                 beta2,
@@ -256,10 +232,7 @@ impl Optimizer {
             self.kind,
             OptimizerKind::Momentum { .. } | OptimizerKind::Adam { .. }
         );
-        let needs_second = matches!(
-            self.kind,
-            OptimizerKind::RmsProp { .. } | OptimizerKind::Adam { .. }
-        );
+        let needs_second = matches!(self.kind, OptimizerKind::Adam { .. });
         if needs_velocity {
             if self.velocity.is_empty() {
                 self.velocity = vec![0.0; len];
@@ -314,21 +287,6 @@ mod tests {
     fn all_kinds_minimize_quadratic() {
         assert!(run_quadratic(OptimizerKind::Sgd, 0.1, 100).abs() < 1e-6);
         assert!(run_quadratic(OptimizerKind::momentum(), 0.02, 200).abs() < 1e-4);
-        // RMSProp normalizes by gradient RMS, so near the optimum it acts
-        // like sign-descent and oscillates with amplitude ~lr: use a small
-        // rate and a tolerance of a few lr.
-        assert!(
-            run_quadratic(
-                OptimizerKind::RmsProp {
-                    decay: 0.9,
-                    epsilon: 1e-8
-                },
-                0.01,
-                2000
-            )
-            .abs()
-                < 0.05
-        );
         assert!(run_quadratic(OptimizerKind::adam(), 0.3, 500).abs() < 1e-2);
     }
 
@@ -384,8 +342,9 @@ mod tests {
     #[test]
     fn invalid_hyper_parameters_rejected() {
         assert!(OptimizerKind::Momentum { beta: 1.5 }.validate().is_err());
-        assert!(OptimizerKind::RmsProp {
-            decay: 0.9,
+        assert!(OptimizerKind::Adam {
+            beta1: 0.9,
+            beta2: 0.999,
             epsilon: 0.0
         }
         .validate()

@@ -5,7 +5,7 @@ use wlc_math::rng::{Seed, Xoshiro256};
 use wlc_math::Matrix;
 
 use crate::{
-    BandEngine, Checkpoint, DenseLayer, Initializer, Loss, Mlp, NnError, OptimizerKind, Workspace,
+    BandEngine, Checkpoint, DenseLayer, Initializer, Mlp, NnError, OptimizerKind, Workspace,
 };
 
 /// Learning-rate factor per recovery attempt: attempt `k` trains at
@@ -451,7 +451,7 @@ impl Trainer {
             for chunk in indices.chunks(batch) {
                 mlp.set_params_flat(&params)?;
                 gather_into(xs, ys, chunk, &mut bx, &mut by);
-                engine.batch_gradient(mlp, &bx, &by, Loss::MeanSquared, &mut ws)?;
+                engine.batch_gradient(mlp, &bx, &by, &mut ws)?;
                 let grads = ws.grad();
                 let norm_sq = grads.iter().map(|g| g * g).sum::<f64>();
                 if !norm_sq.is_finite() || norm_sq > grad_limit {
@@ -465,7 +465,7 @@ impl Trainer {
             let mut diverged = exploded || params.iter().any(|p| !p.is_finite());
             if !diverged {
                 mlp.set_params_flat(&params)?;
-                train_loss = engine.batch_loss(mlp, xs, ys, Loss::MeanSquared, &mut ws)?;
+                train_loss = engine.batch_loss(mlp, xs, ys, &mut ws)?;
                 diverged = !train_loss.is_finite();
             }
             if diverged {
@@ -506,7 +506,7 @@ impl Trainer {
         }
 
         mlp.set_params_flat(&params)?;
-        let final_train_loss = engine.batch_loss(mlp, xs, ys, Loss::MeanSquared, &mut ws)?;
+        let final_train_loss = engine.batch_loss(mlp, xs, ys, &mut ws)?;
         Ok(TrainReport {
             epochs_run,
             final_train_loss,
@@ -714,7 +714,7 @@ mod tests {
                         by.row_mut(out_r).copy_from_slice(ys.row(r));
                     }
                     manual
-                        .batch_gradient_scalar_with(&bx, &by, Loss::MeanSquared, &mut ws)
+                        .batch_gradient_scalar_with(&bx, &by, &mut ws)
                         .unwrap();
                     optimizer.step(&mut params, ws.grad(), lr).unwrap();
                 }
@@ -722,7 +722,7 @@ mod tests {
                 let total: f64 = (0..n)
                     .map(|r| {
                         let pred = manual.forward(xs.row(r)).unwrap();
-                        Loss::MeanSquared.value(&pred, ys.row(r)).unwrap()
+                        crate::loss::mse(&pred, ys.row(r))
                     })
                     .sum();
                 losses.push(total / n as f64);
@@ -946,9 +946,7 @@ mod tests {
         let mlp = xor_mlp(12);
         let mut ws = Workspace::for_mlp(&mlp);
         let preds = mlp.forward_batch_with(&xs, &mut ws).unwrap().clone();
-        let loss = mlp
-            .batch_loss_with(&xs, &preds, Loss::MeanSquared, &mut ws)
-            .unwrap();
+        let loss = mlp.batch_loss_with(&xs, &preds, &mut ws).unwrap();
         assert!(loss.abs() < 1e-12);
     }
 

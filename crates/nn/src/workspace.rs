@@ -2,20 +2,21 @@
 //!
 //! A [`Workspace`] owns every intermediate buffer the forward and
 //! backward passes need — batched activation/pre-activation/delta
-//! matrices, per-layer gradient matrices, a flat gradient vector and
-//! the scalar reference path's trace. Constructed once per network topology, it lets steady-state
+//! matrices, per-layer gradient matrices and a flat gradient vector.
+//! Constructed once per network topology, it lets steady-state
 //! training run with **zero heap allocations per epoch**: buffers are
 //! grown on first use and thereafter only resized within their existing
 //! capacity.
 //!
-//! Two gradient implementations share the workspace:
+//! Two gradient implementations write the workspace's gradient:
 //!
 //! - [`Mlp::batch_gradient_with`] — the batched hot path: the minibatch
 //!   forward/backward expressed as GEMMs ([`wlc_math::gemm`]) over the
 //!   batch matrix.
 //! - [`Mlp::batch_gradient_scalar_with`] — the per-sample reference
-//!   oracle the batched path and `gradcheck` are tested against (the
-//!   pre-workspace algorithm, minus its per-sample allocations).
+//!   oracle the batched path and `gradcheck` are tested against. It
+//!   allocates its own trace per call, so production workspaces carry
+//!   none of its scratch.
 //!
 //! The two are **bit-identical**: every output element of the batched
 //! kernels receives its floating-point additions in the committed lane
@@ -35,7 +36,8 @@ use wlc_hot::wlc_hot;
 use wlc_math::gemm;
 use wlc_math::Matrix;
 
-use crate::{Loss, Mlp, NnError};
+use crate::loss::{mse_and_gradient, mse_gradient_rows, mse_rows};
+use crate::{Mlp, NnError};
 
 /// Row-band height for every multi-row pass (batched forward, loss and
 /// gradient). Part of the committed numeric contract: gradient and loss
@@ -59,7 +61,7 @@ pub const BAND_ROWS: usize = 64;
 ///
 /// ```
 /// use wlc_math::Matrix;
-/// use wlc_nn::{Activation, Loss, MlpBuilder, Workspace};
+/// use wlc_nn::{Activation, MlpBuilder, Workspace};
 ///
 /// let mlp = MlpBuilder::new(2)
 ///     .hidden(4, Activation::tanh())
@@ -69,7 +71,7 @@ pub const BAND_ROWS: usize = 64;
 /// let mut ws = Workspace::for_mlp(&mlp);
 /// let xs = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
 /// let ys = Matrix::from_rows(&[&[1.0], &[1.0]]).unwrap();
-/// let loss = mlp.batch_gradient_with(&xs, &ys, Loss::MeanSquared, &mut ws)?;
+/// let loss = mlp.batch_gradient_with(&xs, &ys, &mut ws)?;
 /// assert!(loss.is_finite());
 /// assert_eq!(ws.grad().len(), mlp.param_count());
 /// # Ok::<(), wlc_nn::NnError>(())
@@ -115,24 +117,11 @@ pub struct Workspace {
     /// row-contiguous (vectorizable) sweeps instead of column-strided
     /// scalar reads.
     bias_lanes: Vec<Vec<f64>>,
-    /// Scalar reference path: [`gemm::LANES`] per-band gradient
-    /// accumulators. Sample `q` of a band adds its gradient into buffer
-    /// `q % LANES`; the buffers are folded per band with
-    /// [`gemm::fold_lanes`] — the same order the TN kernel gives the
-    /// batched path.
-    lane_grads: Vec<Vec<f64>>,
     /// Flat gradient, laid out like [`Mlp::params_flat`].
     grad: Vec<f64>,
     /// Full-size prediction matrix returned by the band-mined
     /// [`Mlp::forward_batch_with`].
     out: Matrix,
-    /// Scalar reference path: per-layer pre-activation trace.
-    trace_pre: Vec<Vec<f64>>,
-    /// Scalar reference path: activations (`trace_acts[0]` is the input).
-    trace_acts: Vec<Vec<f64>>,
-    /// Scalar reference path: current/next delta scratch (max width).
-    delta_a: Vec<f64>,
-    delta_b: Vec<f64>,
 }
 
 impl Workspace {
@@ -153,9 +142,6 @@ impl Workspace {
             .iter()
             .map(|l| Matrix::zeros(0, l.outputs()))
             .collect();
-        let mut trace_acts = Vec::with_capacity(mlp.layers().len() + 1);
-        trace_acts.push(vec![0.0; mlp.inputs()]);
-        trace_acts.extend(mlp.layers().iter().map(|l| vec![0.0; l.outputs()]));
         Workspace {
             pre: acts.clone(),
             deltas: acts.clone(),
@@ -176,7 +162,6 @@ impl Workspace {
                 .map(|l| Matrix::zeros(l.outputs(), l.inputs()))
                 .collect(),
             bias_lanes: (0..gemm::LANES).map(|_| vec![0.0; max_width]).collect(),
-            lane_grads: (0..gemm::LANES).map(|_| vec![0.0; param_count]).collect(),
             bgrads: mlp
                 .layers()
                 .iter()
@@ -189,14 +174,6 @@ impl Workspace {
                 .collect(),
             grad: vec![0.0; param_count],
             out: Matrix::zeros(0, mlp.outputs()),
-            trace_pre: mlp
-                .layers()
-                .iter()
-                .map(|l| vec![0.0; l.outputs()])
-                .collect(),
-            trace_acts,
-            delta_a: vec![0.0; max_width],
-            delta_b: vec![0.0; max_width],
             topology,
             param_count,
             offsets,
@@ -304,49 +281,54 @@ impl Mlp {
         Ok(&ws.out)
     }
 
-    /// Mean loss over a dataset via the batched forward pass. Per-row
-    /// values are bit-identical to evaluating [`Mlp::forward`] row by
-    /// row; the total is folded per [`BAND_ROWS`] band, band ascending
-    /// (the committed reduction order shared with the gradient paths).
+    /// Mean-squared error over a dataset via the batched forward pass.
+    /// Per-row values are bit-identical to evaluating [`Mlp::forward`]
+    /// row by row; the total is folded per [`BAND_ROWS`] band, band
+    /// ascending (the committed reduction order shared with the gradient
+    /// paths).
     ///
     /// # Errors
     ///
-    /// - [`NnError::EmptyTrainingSet`] if `xs` has no rows.
-    /// - [`NnError::ShapeMismatch`] for width or workspace mismatches.
+    /// As for [`Mlp::batch_gradient_with`].
     #[wlc_hot]
     pub fn batch_loss_with(
         &self,
         xs: &Matrix,
         ys: &Matrix,
-        loss: Loss,
         ws: &mut Workspace,
     ) -> Result<f64, NnError> {
-        if xs.rows() == 0 {
-            return Err(NnError::EmptyTrainingSet);
-        }
+        self.check_batch_shapes(xs, ys)?;
         ws.check(self)?;
-        if xs.cols() != self.inputs() {
-            return Err(NnError::ShapeMismatch {
-                expected: self.inputs(),
-                actual: xs.cols(),
-                what: "input width",
-            });
-        }
         let rows = xs.rows();
-        let last = self.layers().len() - 1;
         self.transpose_weights(ws);
         let mut total = 0.0;
         let mut r0 = 0;
         while r0 < rows {
             let r1 = (r0 + BAND_ROWS).min(rows);
-            ws.ensure_batch(r1 - r0);
-            self.batched_forward(xs, r0, r1, ws)?;
-            // Consume the band's predictions in place — no copy into a
-            // dataset-sized output matrix just to read it back once.
-            total += loss.value_rows(&ws.acts[last], ys, r0)?;
+            total += self.band_loss(xs, ys, r0, r1, ws)?;
             r0 = r1;
         }
         Ok(total / rows as f64)
+    }
+
+    /// Loss *sum* over rows `r0..r1`: the band partial both the in-line
+    /// [`Mlp::batch_loss_with`] loop and the band pool fold. Requires
+    /// `ws.wts` to be fresh ([`Mlp::transpose_weights`]). The band's
+    /// predictions are consumed in place — no copy into a dataset-sized
+    /// output matrix just to read it back once.
+    #[wlc_hot]
+    fn band_loss(
+        &self,
+        xs: &Matrix,
+        ys: &Matrix,
+        r0: usize,
+        r1: usize,
+        ws: &mut Workspace,
+    ) -> Result<f64, NnError> {
+        ws.ensure_batch(r1 - r0);
+        self.batched_forward(xs, r0, r1, ws)?;
+        let last = self.layers().len() - 1;
+        Ok(mse_rows(&ws.acts[last], ys, r0))
     }
 
     /// Batched backpropagation: average loss over the minibatch, leaving
@@ -374,7 +356,6 @@ impl Mlp {
         &self,
         inputs: &Matrix,
         targets: &Matrix,
-        loss: Loss,
         ws: &mut Workspace,
     ) -> Result<f64, NnError> {
         self.check_batch_shapes(inputs, targets)?;
@@ -392,7 +373,7 @@ impl Mlp {
         let mut b0 = 0;
         while b0 < rows {
             let b1 = (b0 + BAND_ROWS).min(rows);
-            total_loss += self.gradient_band(inputs, targets, loss, b0, b1, ws)?;
+            total_loss += self.gradient_band(inputs, targets, b0, b1, ws)?;
             b0 = b1;
         }
 
@@ -407,12 +388,11 @@ impl Mlp {
         &self,
         inputs: &Matrix,
         targets: &Matrix,
-        loss: Loss,
         b0: usize,
         b1: usize,
         ws: &mut Workspace,
     ) -> Result<f64, NnError> {
-        let band_loss = self.band_partials(inputs, targets, loss, b0, b1, ws)?;
+        let band_loss = self.band_partials(inputs, targets, b0, b1, ws)?;
         for l in 0..self.layers().len() {
             for (t, &v) in ws.wgrads[l]
                 .as_mut_slice()
@@ -442,7 +422,6 @@ impl Mlp {
         &self,
         inputs: &Matrix,
         targets: &Matrix,
-        loss: Loss,
         b0: usize,
         b1: usize,
         ws: &mut Workspace,
@@ -454,8 +433,7 @@ impl Mlp {
         self.batched_forward(inputs, b0, b1, ws)?;
 
         // Loss and output deltas, sample-row ascending within the band.
-        let band_loss =
-            loss.value_gradient_rows(&ws.acts[last], targets, b0, &mut ws.deltas[last])?;
+        let band_loss = mse_gradient_rows(&ws.acts[last], targets, b0, &mut ws.deltas[last]);
         apply_derivative(
             &mut ws.deltas[last],
             &ws.pre[last],
@@ -522,11 +500,11 @@ impl Mlp {
         Ok(band_loss)
     }
 
-    /// Per-sample reference implementation of the batch gradient — the
-    /// pre-workspace algorithm with its allocations replaced by workspace
-    /// scratch. Kept as the ground truth the batched GEMM path is tested
-    /// bit-identical against, and as the analytic side of
-    /// [`crate::gradcheck`].
+    /// Per-sample reference implementation of the batch gradient. Kept
+    /// as the ground truth the batched GEMM path is tested bit-identical
+    /// against, and as the analytic side of [`crate::gradcheck`]. It
+    /// allocates its own per-sample trace on every call; only the
+    /// resulting gradient lands in `ws` ([`Workspace::grad`]).
     ///
     /// # Errors
     ///
@@ -535,11 +513,11 @@ impl Mlp {
         &self,
         inputs: &Matrix,
         targets: &Matrix,
-        loss: Loss,
         ws: &mut Workspace,
     ) -> Result<f64, NnError> {
         self.check_batch_shapes(inputs, targets)?;
         ws.check(self)?;
+        let mut trace = Trace::for_mlp(self);
         ws.grad.fill(0.0);
         let rows = inputs.rows();
         let mut total_loss = 0.0;
@@ -550,7 +528,7 @@ impl Mlp {
         // partials are added to the totals in ascending band order.
         while b0 < rows {
             let b1 = (b0 + BAND_ROWS).min(rows);
-            for lane in &mut ws.lane_grads {
+            for lane in &mut trace.lane_grads {
                 lane.fill(0.0);
             }
             let mut band_loss = 0.0;
@@ -558,18 +536,14 @@ impl Mlp {
                 band_loss += self.accumulate_sample(
                     inputs.row(r),
                     targets.row(r),
-                    loss,
                     q % gemm::LANES,
-                    ws,
+                    &ws.offsets,
+                    &mut trace,
                 )?;
             }
+            let lanes = &trace.lane_grads;
             for (p, g) in ws.grad.iter_mut().enumerate() {
-                *g += gemm::fold_lanes([
-                    ws.lane_grads[0][p],
-                    ws.lane_grads[1][p],
-                    ws.lane_grads[2][p],
-                    ws.lane_grads[3][p],
-                ]);
+                *g += gemm::fold_lanes([lanes[0][p], lanes[1][p], lanes[2][p], lanes[3][p]]);
             }
             total_loss += band_loss;
             b0 = b1;
@@ -646,55 +620,51 @@ impl Mlp {
         Ok(())
     }
 
-    /// Back-propagates one sample through the workspace trace, adding its
-    /// gradient into `ws.lane_grads[lane]` (the scalar reference step;
-    /// `lane` is the sample's band-local index modulo [`gemm::LANES`]).
+    /// Back-propagates one sample through `trace`, adding its gradient
+    /// into `trace.lane_grads[lane]` (the scalar reference step; `lane`
+    /// is the sample's band-local index modulo [`gemm::LANES`], and
+    /// `offsets` holds each layer's flat-gradient offset).
     fn accumulate_sample(
         &self,
         input: &[f64],
         target: &[f64],
-        loss: Loss,
         lane: usize,
-        ws: &mut Workspace,
+        offsets: &[usize],
+        trace: &mut Trace,
     ) -> Result<f64, NnError> {
         let len = self.layers().len();
-        // Forward trace: trace_acts[0] is the input, trace_acts[l + 1] is
-        // layer l's activation.
-        ws.trace_acts[0].copy_from_slice(input);
+        // Forward trace: acts[0] is the input, acts[l + 1] is layer l's
+        // activation.
+        trace.acts[0].copy_from_slice(input);
         for (l, layer) in self.layers().iter().enumerate() {
-            layer.pre_activation_into(&ws.trace_acts[l], &mut ws.trace_pre[l])?;
-            ws.trace_acts[l + 1].copy_from_slice(&ws.trace_pre[l]);
-            layer.activation().apply_slice(&mut ws.trace_acts[l + 1]);
+            layer.pre_activation_into(&trace.acts[l], &mut trace.pre[l])?;
+            trace.acts[l + 1].copy_from_slice(&trace.pre[l]);
+            layer.activation().apply_slice(&mut trace.acts[l + 1]);
         }
 
-        let loss_value;
+        // delta for the output layer: dL/da ⊙ f'(z).
         let mut width = self.outputs();
-        {
-            let prediction = &ws.trace_acts[len];
-            loss_value = loss.value(prediction, target)?;
-            // delta for the output layer: dL/da ⊙ f'(z).
-            loss.gradient_into(prediction, target, &mut ws.delta_a[..width])?;
-        }
+        let loss_value = mse_and_gradient(&trace.acts[len], target, &mut trace.delta_a[..width]);
         {
             let act = self.layers()[len - 1].activation();
-            let pre_z = &ws.trace_pre[len - 1];
-            let a_out = &ws.trace_acts[len];
-            for ((d, &z), &a) in ws.delta_a[..width].iter_mut().zip(pre_z).zip(a_out) {
+            let pre_z = &trace.pre[len - 1];
+            let a_out = &trace.acts[len];
+            for ((d, &z), &a) in trace.delta_a[..width].iter_mut().zip(pre_z).zip(a_out) {
                 *d *= act.derivative(z, a);
             }
         }
 
         // Walk backwards accumulating dW = delta ⊗ a_prev, db = delta.
         // The current delta always lives in `delta_a`; the next one is
-        // built in `delta_b` and the buffers are swapped (no allocation).
+        // built in `delta_b` and the buffers are swapped.
         for l in (0..len).rev() {
             let layer = &self.layers()[l];
-            let base = ws.offsets[l];
+            let base = offsets[l];
             let in_w = layer.inputs();
             {
-                let delta = &ws.delta_a[..width];
-                let a_prev = &ws.trace_acts[l];
-                let grad = &mut ws.lane_grads[lane];
+                let delta = &trace.delta_a[..width];
+                let a_prev = &trace.acts[l];
+                let grad = &mut trace.lane_grads[lane];
                 for (i, &d) in delta.iter().enumerate() {
                     let row_base = base + i * in_w;
                     for (j, &ap) in a_prev.iter().enumerate() {
@@ -713,8 +683,8 @@ impl Mlp {
                 // committed lane order — matching the batched kernel's
                 // `matmul_into(delta_l, W_l, ..)`.
                 {
-                    let cur = &ws.delta_a[..width];
-                    let next = &mut ws.delta_b[..in_w];
+                    let cur = &trace.delta_a[..width];
+                    let next = &mut trace.delta_b[..in_w];
                     let w = layer.weights();
                     for (j, nj) in next.iter_mut().enumerate() {
                         let mut lanes = [0.0f64; gemm::LANES];
@@ -726,18 +696,55 @@ impl Mlp {
                 }
                 {
                     let act = self.layers()[l - 1].activation();
-                    let pre_prev = &ws.trace_pre[l - 1];
-                    let act_prev = &ws.trace_acts[l];
-                    for ((nd, &z), &a) in ws.delta_b[..in_w].iter_mut().zip(pre_prev).zip(act_prev)
+                    let pre_prev = &trace.pre[l - 1];
+                    let act_prev = &trace.acts[l];
+                    for ((nd, &z), &a) in
+                        trace.delta_b[..in_w].iter_mut().zip(pre_prev).zip(act_prev)
                     {
                         *nd *= act.derivative(z, a);
                     }
                 }
-                std::mem::swap(&mut ws.delta_a, &mut ws.delta_b);
+                std::mem::swap(&mut trace.delta_a, &mut trace.delta_b);
                 width = in_w;
             }
         }
         Ok(loss_value)
+    }
+}
+
+/// Per-call scratch of the per-sample reference oracle
+/// ([`Mlp::batch_gradient_scalar_with`]).
+struct Trace {
+    /// [`gemm::LANES`] per-band gradient accumulators. Sample `q` of a
+    /// band adds its gradient into buffer `q % LANES`; the buffers are
+    /// folded per band with [`gemm::fold_lanes`] — the same order the TN
+    /// kernel gives the batched path.
+    lane_grads: Vec<Vec<f64>>,
+    /// Per-layer pre-activations.
+    pre: Vec<Vec<f64>>,
+    /// Activations (`acts[0]` is the input).
+    acts: Vec<Vec<f64>>,
+    /// Current/next delta scratch (max layer width).
+    delta_a: Vec<f64>,
+    delta_b: Vec<f64>,
+}
+
+impl Trace {
+    fn for_mlp(mlp: &Mlp) -> Self {
+        let max_width = mlp.layers().iter().map(|l| l.outputs()).max().unwrap_or(0);
+        let mut acts = vec![vec![0.0; mlp.inputs()]];
+        acts.extend(mlp.layers().iter().map(|l| vec![0.0; l.outputs()]));
+        Trace {
+            lane_grads: vec![vec![0.0; mlp.param_count()]; gemm::LANES],
+            pre: mlp
+                .layers()
+                .iter()
+                .map(|l| vec![0.0; l.outputs()])
+                .collect(),
+            acts,
+            delta_a: vec![0.0; max_width],
+            delta_b: vec![0.0; max_width],
+        }
     }
 }
 
@@ -786,13 +793,12 @@ impl Mlp {
         &self,
         inputs: &Matrix,
         targets: &Matrix,
-        loss: Loss,
         b0: usize,
         b1: usize,
         ws: &mut Workspace,
     ) -> Result<BandGrads, NnError> {
         self.transpose_weights(ws);
-        let band_loss = self.band_partials(inputs, targets, loss, b0, b1, ws)?;
+        let band_loss = self.band_partials(inputs, targets, b0, b1, ws)?;
         Ok(BandGrads {
             wgrads: ws
                 .wgrads_band
@@ -855,23 +861,19 @@ impl Mlp {
         Ok(out)
     }
 
-    /// Pool-path band loss: the loss *sum* over rows `r0..r1` — the
-    /// same band partial the in-line [`Mlp::batch_loss_with`] loop adds
-    /// to its total.
+    /// Pool-path band loss: refreshes `ws`'s transposed weights, then
+    /// returns the same band partial the in-line
+    /// [`Mlp::batch_loss_with`] loop adds to its total.
     pub(crate) fn band_loss_sum(
         &self,
         xs: &Matrix,
         ys: &Matrix,
-        loss: Loss,
         r0: usize,
         r1: usize,
         ws: &mut Workspace,
     ) -> Result<f64, NnError> {
         self.transpose_weights(ws);
-        ws.ensure_batch(r1 - r0);
-        self.batched_forward(xs, r0, r1, ws)?;
-        let last = self.layers().len() - 1;
-        loss.value_rows(&ws.acts[last], ys, r0)
+        self.band_loss(xs, ys, r0, r1, ws)
     }
 }
 
@@ -962,24 +964,15 @@ mod tests {
     #[test]
     fn batched_gradient_is_bitwise_scalar() {
         let mut rng = Xoshiro256::seed_from(23);
-        let losses = [
-            Loss::MeanSquared,
-            Loss::MeanAbsolute,
-            Loss::huber(0.4).unwrap(),
-        ];
         for (mlp, rows) in cases() {
             let xs = random_batch(rows, mlp.inputs(), &mut rng);
             let ys = random_batch(rows, mlp.outputs(), &mut rng);
-            for loss in losses {
-                let mut ws_a = Workspace::for_mlp(&mlp);
-                let mut ws_b = Workspace::for_mlp(&mlp);
-                let la = mlp
-                    .batch_gradient_scalar_with(&xs, &ys, loss, &mut ws_a)
-                    .unwrap();
-                let lb = mlp.batch_gradient_with(&xs, &ys, loss, &mut ws_b).unwrap();
-                assert_eq!(la.to_bits(), lb.to_bits(), "{loss} loss value");
-                assert_eq!(ws_a.grad(), ws_b.grad(), "{loss} gradient");
-            }
+            let mut ws_a = Workspace::for_mlp(&mlp);
+            let mut ws_b = Workspace::for_mlp(&mlp);
+            let la = mlp.batch_gradient_scalar_with(&xs, &ys, &mut ws_a).unwrap();
+            let lb = mlp.batch_gradient_with(&xs, &ys, &mut ws_b).unwrap();
+            assert_eq!(la.to_bits(), lb.to_bits(), "{rows} rows: loss value");
+            assert_eq!(ws_a.grad(), ws_b.grad(), "{rows} rows: gradient");
         }
     }
 
@@ -990,10 +983,8 @@ mod tests {
             let xs = random_batch(rows, mlp.inputs(), &mut rng);
             let ys = random_batch(rows, mlp.outputs(), &mut rng);
             let mut ws = Workspace::for_mlp(&mlp);
-            let batched = mlp
-                .batch_loss_with(&xs, &ys, Loss::MeanSquared, &mut ws)
-                .unwrap();
-            // Per-row values are bitwise `forward` + `Loss::value`; the
+            let batched = mlp.batch_loss_with(&xs, &ys, &mut ws).unwrap();
+            // Per-row values are bitwise `forward` + `mse`; the
             // total folds per-band partials in ascending band order (the
             // committed reduction geometry).
             let mut total = 0.0;
@@ -1003,7 +994,7 @@ mod tests {
                 let mut band_total = 0.0;
                 for r in b0..b1 {
                     let pred = mlp.forward(xs.row(r)).unwrap();
-                    band_total += Loss::MeanSquared.value(&pred, ys.row(r)).unwrap();
+                    band_total += crate::loss::mse(&pred, ys.row(r));
                 }
                 total += band_total;
                 b0 = b1;
@@ -1029,9 +1020,7 @@ mod tests {
             mlp_b.forward_batch_with(&xs, &mut ws),
             Err(NnError::ShapeMismatch { .. })
         ));
-        assert!(mlp_b
-            .batch_gradient_with(&xs, &ys, Loss::MeanSquared, &mut ws)
-            .is_err());
+        assert!(mlp_b.batch_gradient_with(&xs, &ys, &mut ws).is_err());
     }
 
     #[test]
@@ -1047,24 +1036,17 @@ mod tests {
 
         let mut ws = Workspace::for_mlp(&mlp);
         let mut fresh = Workspace::for_mlp(&mlp);
-        mlp.batch_gradient_with(&big, &big_y, Loss::MeanSquared, &mut ws)
-            .unwrap();
-        let reused = mlp
-            .batch_gradient_with(&small, &small_y, Loss::MeanSquared, &mut ws)
-            .unwrap();
+        mlp.batch_gradient_with(&big, &big_y, &mut ws).unwrap();
+        let reused = mlp.batch_gradient_with(&small, &small_y, &mut ws).unwrap();
         let clean = mlp
-            .batch_gradient_with(&small, &small_y, Loss::MeanSquared, &mut fresh)
+            .batch_gradient_with(&small, &small_y, &mut fresh)
             .unwrap();
         assert_eq!(reused.to_bits(), clean.to_bits());
         assert_eq!(ws.grad(), fresh.grad());
         // And growing back to the large batch still matches a fresh run.
         let mut fresh2 = Workspace::for_mlp(&mlp);
-        let regrown = mlp
-            .batch_gradient_with(&big, &big_y, Loss::MeanSquared, &mut ws)
-            .unwrap();
-        let clean2 = mlp
-            .batch_gradient_with(&big, &big_y, Loss::MeanSquared, &mut fresh2)
-            .unwrap();
+        let regrown = mlp.batch_gradient_with(&big, &big_y, &mut ws).unwrap();
+        let clean2 = mlp.batch_gradient_with(&big, &big_y, &mut fresh2).unwrap();
         assert_eq!(regrown.to_bits(), clean2.to_bits());
         assert_eq!(ws.grad(), fresh2.grad());
     }

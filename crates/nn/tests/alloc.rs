@@ -19,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use wlc_math::Matrix;
-use wlc_nn::{Activation, Loss, MlpBuilder, OptimizerKind, TrainConfig, Trainer, Workspace};
+use wlc_nn::{Activation, MlpBuilder, OptimizerKind, TrainConfig, Trainer, Workspace};
 
 struct CountingAlloc;
 
@@ -116,17 +116,13 @@ fn steady_state_training_does_not_allocate() {
                 bx.row_mut(out_r).copy_from_slice(xs.row(r));
                 by.row_mut(out_r).copy_from_slice(ys.row(r));
             }
-            model
-                .batch_gradient_with(bx, by, Loss::MeanSquared, ws)
-                .unwrap();
+            model.batch_gradient_with(bx, by, ws).unwrap();
             let norm_sq = ws.grad().iter().map(|g| g * g).sum::<f64>();
             assert!(norm_sq.is_finite());
             optimizer.step(params, ws.grad(), 0.05).unwrap();
         }
         model.set_params_flat(params).unwrap();
-        model
-            .batch_loss_with(&xs, &ys, Loss::MeanSquared, ws)
-            .unwrap()
+        model.batch_loss_with(&xs, &ys, ws).unwrap()
     };
 
     // Warm up: workspace growth, minibatch buffers, lazy optimizer state.

@@ -4,7 +4,7 @@
 
 use wlc_math::propcheck::{self, Gen};
 use wlc_math::Matrix;
-use wlc_nn::{gradcheck, Activation, Loss, Mlp, MlpBuilder, Workspace};
+use wlc_nn::{gradcheck, Activation, Mlp, MlpBuilder, Workspace};
 
 fn random_data(inputs: usize, outputs: usize, rows: usize, salt: u64) -> (Matrix, Matrix) {
     let xs = Matrix::from_fn(rows, inputs, |r, c| {
@@ -41,7 +41,7 @@ fn backprop_matches_finite_differences() {
             .build()
             .unwrap();
         let (xs, ys) = random_data(inputs, outputs, 5, seed);
-        let report = gradcheck::check(&mlp, &xs, &ys, Loss::MeanSquared, 1e-5).unwrap();
+        let report = gradcheck::check(&mlp, &xs, &ys, 1e-5).unwrap();
         assert!(report.passes(1e-5), "{report:?}");
     });
 }
@@ -219,14 +219,10 @@ fn sgd_step_reduces_quadratic_loss() {
             .unwrap();
         let (xs, ys) = random_data(inputs, 1, 6, seed);
         let mut ws = Workspace::for_mlp(&mlp);
-        let before = mlp
-            .batch_gradient_with(&xs, &ys, Loss::MeanSquared, &mut ws)
-            .unwrap();
+        let before = mlp.batch_gradient_with(&xs, &ys, &mut ws).unwrap();
         let update: Vec<f64> = ws.grad().iter().map(|g| -1e-3 * g).collect();
         mlp.apply_update(&update).unwrap();
-        let after = mlp
-            .batch_loss_with(&xs, &ys, Loss::MeanSquared, &mut ws)
-            .unwrap();
+        let after = mlp.batch_loss_with(&xs, &ys, &mut ws).unwrap();
         assert!(after <= before + 1e-9, "{before} -> {after}");
     });
 }
@@ -234,24 +230,21 @@ fn sgd_step_reduces_quadratic_loss() {
 #[test]
 fn loss_is_nonnegative_and_zero_at_target() {
     propcheck::run_cases(64, |g| {
-        let target = g.vec_f64_len(-5.0, 5.0, 1, 6);
-        let offset = g.vec_f64_len(-2.0, 2.0, 1, 6);
-        let n = target.len().min(offset.len());
-        let target = &target[..n];
-        let predicted: Vec<f64> = target
-            .iter()
-            .zip(&offset[..n])
-            .map(|(t, o)| t + o)
-            .collect();
-        for loss in [
-            Loss::MeanSquared,
-            Loss::MeanAbsolute,
-            Loss::huber(1.0).unwrap(),
-        ] {
-            let v = loss.value(&predicted, target).unwrap();
-            assert!(v >= 0.0);
-            let zero = loss.value(target, target).unwrap();
-            assert!(zero.abs() < 1e-12);
-        }
+        let inputs = g.usize_in(1, 4);
+        let outputs = g.usize_in(1, 6);
+        let rows = g.usize_in(1, 80);
+        let seed = g.u64();
+        let mlp = MlpBuilder::new(inputs)
+            .hidden(g.usize_in(1, 8), hidden_activation(g))
+            .output(outputs, Activation::identity())
+            .seed(seed)
+            .build()
+            .unwrap();
+        let (xs, ys) = random_data(inputs, outputs, rows, seed);
+        let mut ws = Workspace::for_mlp(&mlp);
+        assert!(mlp.batch_loss_with(&xs, &ys, &mut ws).unwrap() >= 0.0);
+        let predicted = mlp.forward_batch_with(&xs, &mut ws).unwrap().clone();
+        let zero = mlp.batch_loss_with(&xs, &predicted, &mut ws).unwrap();
+        assert_eq!(zero, 0.0);
     });
 }
